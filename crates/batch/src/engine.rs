@@ -29,7 +29,7 @@
 use crate::policy::{AllocPolicy, ClusterView, QueuedJob, RunningJob};
 use crate::trace::{BatchJob, BatchTrace};
 use hpl_cluster::{Cluster, ClusterJobHandle, JobCoordinator, Placement};
-use hpl_kernel::{RunOutcome, SchedEvent, TaskState};
+use hpl_kernel::{RunOutcome, SchedEvent};
 use hpl_mpi::{JobSpec, MpiOp, SchedMode};
 use hpl_sim::{SimDuration, SimTime};
 
@@ -195,11 +195,12 @@ const ID_BASE_START: u64 = 10_000;
 /// Safety gap between consecutive jobs' id ranges.
 const ID_GAP: u64 = 16;
 
-/// A queued job plus its crash-recovery state: how many leading
-/// iterations the next launch may skip (covered by committed
-/// checkpoints) and how often it has been requeued.
+/// A queued job plus its original submit time and crash-recovery state:
+/// how many leading iterations the next launch may skip (covered by
+/// committed checkpoints) and how often it has been requeued.
 struct Queued {
     job: BatchJob,
+    submitted: SimTime,
     skip_iters: u32,
     requeues: u32,
 }
@@ -287,18 +288,11 @@ fn busy_node_seconds(spans: &[BusySpan], nnodes: usize) -> f64 {
     total
 }
 
-/// Time the job released its last node: the max `perf` exit time over
-/// its placement. `None` while any tree is still alive.
-fn job_end_time(cluster: &Cluster, h: &ClusterJobHandle) -> Option<SimTime> {
-    let mut end = SimTime::ZERO;
-    for (j, &n) in h.placement.iter().enumerate() {
-        let t = cluster.node(n).tasks.get(h.perf_pids[j]);
-        if t.state != TaskState::Dead {
-            return None;
-        }
-        end = end.max(t.exited_at?);
+/// Refill `occupancy[n]` with [`Cluster::active_jobs_on`] for every node.
+fn fill_occupancy(cluster: &Cluster, occupancy: &mut [u32]) {
+    for (n, occ) in occupancy.iter_mut().enumerate() {
+        *occ = cluster.active_jobs_on(n) as u32;
     }
-    Some(end)
 }
 
 /// Builder for one batch run — the construction-API counterpart of
@@ -428,8 +422,16 @@ fn run_batch_inner(
     let mut pending = std::collections::VecDeque::from(pending);
 
     let mut queue: Vec<Queued> = Vec::new();
-    let mut submitted_at: Vec<(u32, SimTime)> = Vec::new();
     let mut running: Vec<Running> = Vec::new();
+    // The policy's snapshot, kept across decision points: `running`
+    // mirrors `view.running` entry for entry (pushed together at launch,
+    // swap-removed together at harvest).
+    let mut view = ClusterView {
+        now: epoch,
+        occupancy: vec![0; nnodes],
+        running: Vec::new(),
+        down: vec![false; nnodes],
+    };
     let mut outcomes: Vec<JobOutcome> = Vec::new();
     let mut busy_spans: Vec<BusySpan> = Vec::new();
     let mut next_id_base = ID_BASE_START;
@@ -465,14 +467,13 @@ fn run_batch_inner(
             }
         }
 
-        // 2. Harvest completions and crash casualties. The failure
-        //    check comes first: a crashed job's perf pids are stale
-        //    (its node may have restarted), so `job_end_time` must
-        //    never look at them.
+        // 2. Harvest completions and crash casualties. A failed job
+        //    never ends (`job_end_time` stays `None`); it is requeued.
         let mut i = 0;
         while i < running.len() {
             if cluster.job_failed(&running[i].handle) {
                 let r = running.swap_remove(i);
+                view.running.swap_remove(i);
                 // The attempt occupied its nodes until this decision
                 // point (the crash landed inside the last window).
                 busy_spans.push(BusySpan {
@@ -507,14 +508,16 @@ fn run_batch_inner(
                 });
                 queue.push(Queued {
                     job: r.job,
+                    submitted: r.submitted,
                     skip_iters: skip,
                     requeues: r.requeues + 1,
                 });
                 max_queue_depth = max_queue_depth.max(queue.len() as u32);
                 continue;
             }
-            if let Some(ended) = job_end_time(cluster, &running[i].handle) {
+            if let Some(ended) = cluster.job_end_time(&running[i].handle) {
                 let r = running.swap_remove(i);
+                view.running.swap_remove(i);
                 busy_spans.push(BusySpan {
                     placement: r.handle.placement.clone(),
                     from: r.started,
@@ -549,9 +552,9 @@ fn run_batch_inner(
         // 3. Admit arrivals that have come due.
         while pending.front().is_some_and(|(at, _)| *at <= now) {
             let (at, job) = pending.pop_front().expect("checked front");
-            submitted_at.push((job.id, at));
             queue.push(Queued {
                 job: job.clone(),
+                submitted: at,
                 skip_iters: 0,
                 requeues: 0,
             });
@@ -562,36 +565,22 @@ fn run_batch_inner(
             });
         }
 
-        // 4. Allocate until the policy passes.
-        loop {
-            if queue.is_empty() {
-                break;
-            }
-            let view = ClusterView {
-                now,
-                occupancy: (0..nnodes)
-                    .map(|n| cluster.active_jobs_on(n) as u32)
-                    .collect(),
-                running: running
-                    .iter()
-                    .map(|r| RunningJob {
-                        id: r.job.id,
-                        placement: r.handle.placement.clone(),
-                        est_end: r.started + r.job.est_runtime(),
-                    })
-                    .collect(),
-                down: (0..nnodes).map(|n| !cluster.node_available(n)).collect(),
-            };
+        // 4. Allocate until the policy passes. Occupancy and
+        //    availability are read once per decision point and occupancy
+        //    again after each launch; the running list is already
+        //    current.
+        view.now = now;
+        fill_occupancy(cluster, &mut view.occupancy);
+        for (n, down) in view.down.iter_mut().enumerate() {
+            *down = !cluster.node_available(n);
+        }
+        while !queue.is_empty() {
             let pview: Vec<QueuedJob> = queue
                 .iter()
                 .map(|q| QueuedJob {
                     id: q.job.id,
                     nodes: q.job.nodes,
-                    submitted: submitted_at
-                        .iter()
-                        .find(|(id, _)| *id == q.job.id)
-                        .expect("queued jobs were submitted")
-                        .1,
+                    submitted: q.submitted,
                     est_runtime: q.job.est_runtime(),
                     user: q.job.user,
                     class: q.job.class,
@@ -601,7 +590,7 @@ fn run_batch_inner(
                 break;
             };
             let q = queue.remove(alloc.queue_idx);
-            let submitted = pview[alloc.queue_idx].submitted;
+            let submitted = q.submitted;
             let spec = job_spec(&q.job, next_id_base, cfg.checkpoint.as_ref(), q.skip_iters);
             next_id_base = *spec.id_range().end() + 1 + ID_GAP;
             let handle = match &mut coordinator {
@@ -617,6 +606,11 @@ fn run_batch_inner(
                 queue_depth: queue.len() as u32,
                 waited: started.since(submitted),
             });
+            view.running.push(RunningJob {
+                id: q.job.id,
+                placement: handle.placement.clone(),
+                est_end: started + q.job.est_runtime(),
+            });
             running.push(Running {
                 job: q.job,
                 spec,
@@ -627,6 +621,7 @@ fn run_batch_inner(
                 requeues: q.requeues,
                 killed: false,
             });
+            fill_occupancy(cluster, &mut view.occupancy);
         }
 
         // 5. Fractional-share reallocation (DFRS): the policy may
@@ -634,22 +629,8 @@ fn run_batch_inner(
         //    is published so observers and the torture oracle can audit
         //    conservation. Slot-based policies return nothing here and
         //    stay untouched bit for bit.
-        let share_view = ClusterView {
-            now,
-            occupancy: (0..nnodes)
-                .map(|n| cluster.active_jobs_on(n) as u32)
-                .collect(),
-            running: running
-                .iter()
-                .map(|r| RunningJob {
-                    id: r.job.id,
-                    placement: r.handle.placement.clone(),
-                    est_end: r.started + r.job.est_runtime(),
-                })
-                .collect(),
-            down: (0..nnodes).map(|n| !cluster.node_available(n)).collect(),
-        };
-        for (node, job, share_milli) in policy.share_update(&share_view) {
+        let mut realized = false;
+        for (node, job, share_milli) in policy.share_update(&view) {
             cluster.node_mut(0).publish(SchedEvent::JobShare {
                 job,
                 node: node as u32,
@@ -662,14 +643,18 @@ fn run_batch_inner(
             if let Some(c) = &mut coordinator {
                 if let Some(r) = running.iter().find(|r| r.job.id == job) {
                     c.set_share(cluster, node, r.spec.id_base, share_milli);
+                    realized = true;
                 }
             }
         }
 
-        // 6. Occupancy audit against the policy's promise.
+        // 6. Occupancy audit against the policy's promise (re-read if a
+        //    coordinator acted on the cluster since).
+        if realized {
+            fill_occupancy(cluster, &mut view.occupancy);
+        }
         let mut over = false;
-        for n in 0..nnodes {
-            let occ = cluster.active_jobs_on(n) as u32;
+        for &occ in &view.occupancy {
             max_node_occupancy = max_node_occupancy.max(occ);
             if occ > limit {
                 over = true;

@@ -121,7 +121,7 @@ impl CosimConfig {
 #[derive(Debug, Clone)]
 pub struct ClusterJobHandle {
     /// Index of this job in the cluster's launch order (stable; jobs are
-    /// never removed from the routing table).
+    /// never removed from the job table).
     pub job_id: usize,
     /// Cluster node hosting each job-relative node: `placement[j]` is
     /// the cluster index of job node `j`.
@@ -159,9 +159,9 @@ pub trait JobCoordinator {
     fn set_share(&mut self, cluster: &mut Cluster, node: usize, gang: u64, share_milli: u32);
 }
 
-/// A launched job the cluster routes messages for. Jobs stay in the
-/// table after completing (their ids keep routing deterministic); the
-/// id-range disjointness rule makes dead entries unreachable.
+/// A launched job. Jobs stay in the table after completing (a handle's
+/// `job_id` indexes it); message routing and occupancy reach them
+/// through the per-node live-job index instead.
 struct ActiveJob {
     job: JobSpec,
     /// Job-relative node -> cluster node.
@@ -176,7 +176,74 @@ struct ActiveJob {
     /// crashes. Failed jobs release occupancy, stop routing, and never
     /// complete; a batch driver requeues them.
     failed: bool,
+    /// Exit stamps of trees that had already exited when their node
+    /// crashed, per job-relative node. The node's task table dies with
+    /// the crash (a restart replaces it), so completion and end-time
+    /// queries read these instead.
+    exits: Vec<Option<TreeExit>>,
 }
+
+/// Exit stamps of one job's launcher tree on one node, copied out of
+/// the node's task table before a crash discards it.
+#[derive(Debug, Clone, Copy)]
+struct TreeExit {
+    /// When the root (`perf`) task exited: the node was released.
+    perf: SimTime,
+    /// When the tree's `mpiexec` exited (`None` if it never spawned).
+    mpiexec: Option<SimTime>,
+}
+
+/// Exit stamps of the tree rooted at `perf` on `node`, `None` while the
+/// root is alive.
+fn tree_exit(node: &Node, perf: Pid) -> Option<TreeExit> {
+    let t = node.tasks.get(perf);
+    if t.state != TaskState::Dead {
+        return None;
+    }
+    Some(TreeExit {
+        perf: t.exited_at?,
+        mpiexec: find_mpiexec(node, perf).and_then(|m| node.tasks.get(m).exited_at),
+    })
+}
+
+/// A set of node indices with O(1) insertion: `list` holds each member
+/// once, in insertion order; `member[i]` says whether `i` is listed.
+struct NodeSet {
+    member: Vec<bool>,
+    list: Vec<usize>,
+}
+
+impl NodeSet {
+    /// The set holding every node of an `n`-node cluster.
+    fn full(n: usize) -> Self {
+        NodeSet {
+            member: vec![true; n],
+            list: (0..n).collect(),
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        if !self.member[i] {
+            self.member[i] = true;
+            self.list.push(i);
+        }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.member[i]
+    }
+
+    fn clear(&mut self) {
+        for &i in &self.list {
+            self.member[i] = false;
+        }
+        self.list.clear();
+    }
+}
+
+/// Cached next-event time of a node with an empty queue, or of a down
+/// node (whose frozen events never fire).
+const NEVER: SimTime = SimTime::MAX;
 
 /// Where [`Cluster::launch`] places a job's nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -313,6 +380,11 @@ impl ClusterBuilder {
             nodes,
             net,
             jobs: Vec::new(),
+            live: vec![Vec::new(); n],
+            next_at: vec![NEVER; n],
+            stale: NodeSet::full(n),
+            unrouted: NodeSet::full(n),
+            window_hook: None,
             cfg: cosim,
             pool: None,
             active: Vec::new(),
@@ -328,13 +400,35 @@ impl ClusterBuilder {
     }
 }
 
+/// A callback run at the end of every lockstep window.
+type WindowHook = Box<dyn FnMut(&Cluster)>;
+
 /// N co-simulated kernel nodes joined by an interconnect.
 pub struct Cluster {
     nodes: Vec<Node>,
     net: Interconnect,
-    /// Every job ever launched, in launch order; routes captured
-    /// [`hpl_kernel::NetMsg`]s to their destination nodes.
+    /// Every job ever launched, in launch order (indexed by
+    /// [`ClusterJobHandle::job_id`]).
     jobs: Vec<ActiveJob>,
+    /// Live-job index: `live[n]` lists, in launch order, the jobs that
+    /// may still occupy node `n`. Every job occupying `n` is listed;
+    /// entries that stopped occupying it (tree exited, job failed) are
+    /// pruned at the next launch on `n`, and the list is emptied when
+    /// `n` crashes. Occupancy counts and message routing read it instead
+    /// of walking every job ever launched.
+    live: Vec<Vec<usize>>,
+    /// Cached next-event time per node ([`NEVER`] for an empty queue or
+    /// a down node). Exact for every node not in `stale`.
+    next_at: Vec<SimTime>,
+    /// Nodes whose `next_at` entry must be re-read before the next
+    /// window: stepped, posted a delivery, or touched from outside.
+    stale: NodeSet,
+    /// Nodes that may hold captured outbound messages: stepped, or
+    /// touched from outside, since the last routing pass.
+    unrouted: NodeSet,
+    /// Called with the cluster at the end of every window (see
+    /// [`Self::on_window`]).
+    window_hook: Option<WindowHook>,
     /// Host-side execution policy (serial vs pooled window stepping).
     cfg: CosimConfig,
     /// Worker pool, spawned lazily on the first window dense enough to
@@ -380,35 +474,9 @@ impl Cluster {
         }
     }
 
-    /// Join pre-built nodes with an interconnect, serial lockstep.
-    #[deprecated(note = "use Cluster::builder().nodes(..).fabric(..).build()")]
-    pub fn new(nodes: Vec<Node>, net: Interconnect) -> Self {
-        Cluster::builder().nodes(nodes).fabric(net).build()
-    }
-
-    /// Join pre-built nodes with an explicit host-side execution policy.
-    #[deprecated(note = "use Cluster::builder().nodes(..).fabric(..).cosim(..).build()")]
-    pub fn with_config(nodes: Vec<Node>, net: Interconnect, cfg: CosimConfig) -> Self {
-        Cluster::builder()
-            .nodes(nodes)
-            .fabric(net)
-            .cosim(cfg)
-            .build()
-    }
-
     /// The host-side execution policy.
     pub fn config(&self) -> CosimConfig {
         self.cfg
-    }
-
-    /// Replace the host-side execution policy mid-run. An existing pool
-    /// is dropped so a new thread count takes effect.
-    #[deprecated(
-        note = "configure via ClusterBuilder::cosim — a run's execution policy is fixed at build"
-    )]
-    pub fn set_config(&mut self, cfg: CosimConfig) {
-        self.cfg = cfg;
-        self.pool = None;
     }
 
     /// Number of nodes.
@@ -428,9 +496,18 @@ impl Cluster {
 
     /// Mutable access to node `i` (observer registration, warmup, …).
     /// Stepping a node directly while a job is in flight breaks
-    /// lockstep; do it only before the first launch.
+    /// lockstep; do it only before the first launch. The node is marked
+    /// touched: its next-event time is re-read and its outbound queue
+    /// drained at the next window.
     pub fn node_mut(&mut self, i: usize) -> &mut Node {
+        self.touch(i);
         &mut self.nodes[i]
+    }
+
+    /// Mark node `i` as changed from outside the window loop.
+    fn touch(&mut self, i: usize) {
+        self.stale.insert(i);
+        self.unrouted.insert(i);
     }
 
     /// All nodes, in cluster order.
@@ -451,6 +528,10 @@ impl Cluster {
     /// Earliest pending event time across the cluster, `None` when every
     /// queue is drained. Down nodes are frozen and contribute nothing —
     /// their pending events can never fire.
+    ///
+    /// This is the reference scan over every node's queue; the window
+    /// loop reads the cached per-node array instead, and
+    /// [`Self::check_indexes`] holds the two equal.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.nodes
             .iter()
@@ -528,6 +609,7 @@ impl Cluster {
         for (n, pid) in victims {
             if self.nodes[n].tasks.get(pid).state != TaskState::Dead {
                 self.nodes[n].kill_tree(pid);
+                self.touch(n);
                 reaped += 1;
             }
         }
@@ -613,9 +695,13 @@ impl Cluster {
                 b
             );
         }
+        let job_id = self.jobs.len();
         let mut perf_pids = Vec::with_capacity(placement.len());
         let mut launched_at = Vec::with_capacity(placement.len());
         for (j, &n) in placement.iter().enumerate() {
+            self.prune_live(n);
+            self.live[n].push(job_id);
+            self.touch(n);
             let node = &mut self.nodes[n];
             for chan in job.cross_node_channels(j as u32) {
                 node.register_net_channel(chan);
@@ -633,7 +719,6 @@ impl Cluster {
             }
             perf_pids.push(root);
         }
-        let job_id = self.jobs.len();
         let incarnations = placement.iter().map(|&n| self.incarnation[n]).collect();
         self.jobs.push(ActiveJob {
             job: job.clone(),
@@ -641,6 +726,7 @@ impl Cluster {
             perf_pids: perf_pids.clone(),
             incarnations,
             failed: false,
+            exits: vec![None; placement.len()],
         });
         ClusterJobHandle {
             job_id,
@@ -662,6 +748,7 @@ impl Cluster {
             "set_gang_share on {} node {node}",
             if self.down[node] { "down" } else { "drained" }
         );
+        self.touch(node);
         self.nodes[node].gang_set_share(gang, share_milli);
     }
 
@@ -681,6 +768,12 @@ impl Cluster {
     /// still merged serially in fixed `(node, capture)` order by
     /// `route_outbound`, which is what keeps the result byte-identical
     /// to the serial path.
+    ///
+    /// `t_next` and the active set come from one pass over the cached
+    /// per-node next-event array; only entries of nodes that changed
+    /// since the last window (stepped, delivered to, or touched from
+    /// outside) are re-read from their queues first.
+    ///
     /// Fault events from the plan are applied here, at window
     /// boundaries: every event due at or before the upcoming window's
     /// start lands before any node is stepped (so a crash has
@@ -690,10 +783,11 @@ impl Cluster {
     /// only node with work), the events are applied and the loop
     /// continues, so a restart can wake an otherwise-idle cluster.
     pub fn step_window(&mut self) -> bool {
-        let t_next = loop {
-            let t_next = self.next_event_time();
-            let due = match (self.fault_events.get(self.fault_cursor), t_next) {
-                (Some(e), Some(t)) => e.at <= t,
+        let deadline = loop {
+            self.refresh_next_events();
+            let window = self.scan_window();
+            let due = match (self.fault_events.get(self.fault_cursor), window) {
+                (Some(e), Some(w)) => e.at <= w.start,
                 (Some(_), None) => true,
                 (None, _) => false,
             };
@@ -701,28 +795,18 @@ impl Cluster {
                 self.apply_next_fault();
                 continue;
             }
-            match t_next {
-                Some(t) => break t,
+            match window {
+                Some(w) => break w.deadline(),
                 None => return false,
             }
         };
-        let window = Window::conservative(t_next, self.net.lookahead());
-        let deadline = window.deadline();
-        self.active.clear();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if self.down[i] {
-                // A down node leaves the active list permanently: it is
-                // never re-claimed by the pool, its frozen events never
-                // fire. (Restart replaces the node wholesale.)
-                continue;
-            }
-            if node.next_event_time().is_some_and(|t| t <= deadline) {
-                self.active.push(i);
-            }
-        }
-        let alive = self.nodes.len() - self.down.iter().filter(|&&d| d).count();
-        let workers = self.cfg.effective_threads(alive) - 1;
-        if self.cfg.parallel && workers > 0 && self.active.len() >= self.cfg.parallel_min_active {
+        let workers = if self.cfg.parallel && self.active.len() >= self.cfg.parallel_min_active {
+            let alive = self.nodes.len() - self.down.iter().filter(|&&d| d).count();
+            self.cfg.effective_threads(alive) - 1
+        } else {
+            0
+        };
+        if workers > 0 {
             let pool = self.pool.get_or_insert_with(|| WorkerPool::new(workers));
             pool.step_round(&mut self.nodes, &self.active, deadline);
         } else {
@@ -730,8 +814,57 @@ impl Cluster {
                 self.nodes[i].run_until_time(deadline);
             }
         }
+        for &i in &self.active {
+            self.stale.insert(i);
+            self.unrouted.insert(i);
+        }
         self.route_outbound();
+        if let Some(mut hook) = self.window_hook.take() {
+            hook(self);
+            self.window_hook = Some(hook);
+        }
         true
+    }
+
+    /// Re-read the cached next-event time of every stale node.
+    fn refresh_next_events(&mut self) {
+        for &i in &self.stale.list {
+            self.next_at[i] = if self.down[i] {
+                NEVER
+            } else {
+                self.nodes[i].next_event_time().unwrap_or(NEVER)
+            };
+        }
+        self.stale.clear();
+    }
+
+    /// The next window, from one pass over the cached next-event array,
+    /// leaving its active nodes in `self.active` in index order. Nodes
+    /// are collected against the window of the minimum seen so far (an
+    /// upper bound on the final window, since the minimum only falls),
+    /// then trimmed once to the final window. `None` when every queue is
+    /// drained.
+    fn scan_window(&mut self) -> Option<Window> {
+        let lookahead = self.net.lookahead();
+        let next_at = &self.next_at;
+        let active = &mut self.active;
+        active.clear();
+        let mut window: Option<Window> = None;
+        for (i, &t) in next_at.iter().enumerate() {
+            if t == NEVER {
+                continue;
+            }
+            match window {
+                Some(w) if t >= w.end => continue,
+                Some(w) if t >= w.start => {}
+                _ => window = Some(Window::conservative(t, lookahead)),
+            }
+            active.push(i);
+        }
+        let w = window?;
+        active.retain(|&i| next_at[i] < w.end);
+        debug_assert_eq!(Some(w.start), self.next_event_time());
+        Some(w)
     }
 
     /// Apply the next scheduled node fault. Runs serially between
@@ -751,33 +884,41 @@ impl Cluster {
                 // Fail every job with a live launcher tree on the node
                 // (the node's task table is still valid here — it is
                 // only replaced on restart). Jobs whose tree already
-                // exited on this node are unaffected.
-                for aj in &mut self.jobs {
+                // exited on this node are unaffected; their exit stamps
+                // are copied out, because the table they live in is
+                // gone once the node restarts.
+                let node = &self.nodes[ev.node];
+                let mut failed = Vec::new();
+                for (ji, aj) in self.jobs.iter_mut().enumerate() {
                     if aj.failed {
                         continue;
                     }
                     if let Some(j) = aj.placement.iter().position(|&p| p == ev.node) {
-                        if aj.incarnations[j] == self.incarnation[ev.node]
-                            && self.nodes[ev.node].tasks.get(aj.perf_pids[j]).state
-                                != TaskState::Dead
-                        {
-                            aj.failed = true;
+                        if aj.incarnations[j] != self.incarnation[ev.node] {
+                            continue;
+                        }
+                        match tree_exit(node, aj.perf_pids[j]) {
+                            Some(exit) => aj.exits[j] = Some(exit),
+                            None => {
+                                aj.failed = true;
+                                failed.push(ji);
+                            }
                         }
                     }
                 }
+                self.live[ev.node].clear();
                 self.down[ev.node] = true;
+                self.stale.insert(ev.node);
                 self.crashes += 1;
                 // Runtime-level abort on the survivors: reap each failed
                 // job's task tree on its other nodes, so orphaned ranks
                 // don't spin against (and skew placement for) whatever
                 // runs there next. Checkpoint barrier generations stay
                 // readable — killing a task doesn't unwind the commits
-                // it already made.
-                for ji in 0..self.jobs.len() {
+                // it already made. (Jobs failed by an earlier crash had
+                // their trees reaped then.)
+                for ji in failed {
                     let aj = &self.jobs[ji];
-                    if !aj.failed || !aj.placement.contains(&ev.node) {
-                        continue;
-                    }
                     let victims: Vec<(usize, hpl_kernel::Pid)> = aj
                         .placement
                         .iter()
@@ -792,6 +933,7 @@ impl Cluster {
                     for (n, pid) in victims {
                         if self.nodes[n].tasks.get(pid).state != TaskState::Dead {
                             self.nodes[n].kill_tree(pid);
+                            self.touch(n);
                         }
                     }
                 }
@@ -825,30 +967,36 @@ impl Cluster {
                 self.down[ev.node] = false;
                 self.drained[ev.node] = false;
                 self.incarnation[ev.node] += 1;
+                self.touch(ev.node);
             }
         }
     }
 
-    /// Drain captured cross-node messages from every node, cost them on
-    /// the interconnect, and schedule the deliveries. Deterministic:
-    /// nodes are drained in index order and each node's capture order is
-    /// its own dispatch order — this serial merge is what erases any
-    /// host-thread interleaving from the parallel stepping path. Each
-    /// message is routed by the unique job that (a) placed a node on the
-    /// source and (b) owns the channel id — unique because overlapping
-    /// jobs have disjoint id ranges.
+    /// Drain captured cross-node messages from every node that may hold
+    /// some, cost them on the interconnect, and schedule the deliveries.
+    /// Deterministic: nodes are drained in index order and each node's
+    /// capture order is its own dispatch order — this serial merge is
+    /// what erases any host-thread interleaving from the parallel
+    /// stepping path. Each message is routed by the unique job that (a)
+    /// is live on the source and (b) owns the channel id — unique
+    /// because jobs sharing a node have disjoint id ranges. (A tree
+    /// that captured a message was alive when it did, so its job is
+    /// still listed: entries are pruned only between windows, and only
+    /// once the tree is dead or its job failed, with every tree reaped.)
     fn route_outbound(&mut self) {
         let mut buf = std::mem::take(&mut self.outbox);
-        for src in 0..self.nodes.len() {
+        let mut srcs = std::mem::take(&mut self.unrouted.list);
+        srcs.sort_unstable();
+        for &src in &srcs {
+            self.unrouted.member[src] = false;
             if self.down[src] || !self.nodes[src].has_outbound() {
                 continue;
             }
             self.nodes[src].drain_outbound_into(&mut buf);
             for &m in buf.iter() {
-                let aj = self
-                    .jobs
+                let aj = self.live[src]
                     .iter()
-                    .filter(|aj| aj.placement.contains(&src))
+                    .map(|&ji| &self.jobs[ji])
                     .find(|aj| aj.job.chan_dst_node(m.chan).is_some())
                     .expect("outbound message on a channel no job on this node owns");
                 // A failed job's runtime is torn down: in-flight traffic
@@ -866,8 +1014,11 @@ impl Cluster {
                 }
                 let (deliver_at, queued) = self.net.transfer(m.at, src, dst, m.bytes);
                 self.nodes[dst].post_net_delivery(deliver_at, m.chan, m.tokens, m.at, queued);
+                self.stale.insert(dst);
             }
         }
+        srcs.clear();
+        self.unrouted.list = srcs;
         self.outbox = buf;
     }
 
@@ -913,23 +1064,38 @@ impl Cluster {
 
     /// True iff the whole launcher tree has exited on every node **of
     /// this job** — other jobs do not affect the answer. Always `false`
-    /// for a failed job, and for a job whose node was since restarted
-    /// (its pids belong to a dead incarnation); poll every window, as
-    /// the engines do, and completion is observed before any later
-    /// crash can obscure it.
+    /// for a failed job. A tree that exited before its node crashed
+    /// stays exited (its stamps are kept across the restart), so the
+    /// answer agrees with [`Self::job_end_time`].
     pub fn job_done(&self, handle: &ClusterJobHandle) -> bool {
+        self.job_end_time(handle).is_some()
+    }
+
+    /// Time the job released its last node: the latest `perf` exit over
+    /// its placement (each stamped on its own node's clock). `None`
+    /// while any tree is alive, and forever for a failed job.
+    pub fn job_end_time(&self, handle: &ClusterJobHandle) -> Option<SimTime> {
         let aj = &self.jobs[handle.job_id];
-        !aj.failed
-            && handle
-                .perf_pids
-                .iter()
-                .zip(&handle.placement)
-                .enumerate()
-                .all(|(j, (&pid, &n))| {
-                    !self.down[n]
-                        && aj.incarnations[j] == self.incarnation[n]
-                        && self.nodes[n].tasks.get(pid).state == TaskState::Dead
-                })
+        if aj.failed {
+            return None;
+        }
+        (0..aj.placement.len())
+            .map(|j| self.job_tree_exit(aj, j).map(|e| e.perf))
+            .try_fold(SimTime::ZERO, |end, t| t.map(|t| end.max(t)))
+    }
+
+    /// Exit stamps of `aj`'s tree on job-relative node `j`: the copy
+    /// taken at a crash, else read from the node — which must still be
+    /// the incarnation that spawned the tree.
+    fn job_tree_exit(&self, aj: &ActiveJob, j: usize) -> Option<TreeExit> {
+        if let Some(exit) = aj.exits[j] {
+            return Some(exit);
+        }
+        let n = aj.placement[j];
+        if self.down[n] || aj.incarnations[j] != self.incarnation[n] {
+            return None;
+        }
+        tree_exit(&self.nodes[n], aj.perf_pids[j])
     }
 
     /// Application execution time of a completed job: the longest
@@ -941,33 +1107,105 @@ impl Cluster {
             return None;
         }
         let mut exec = SimDuration::ZERO;
-        for (j, &n) in handle.placement.iter().enumerate() {
-            if self.down[n] || aj.incarnations[j] != self.incarnation[n] {
-                return None;
-            }
-            let node = &self.nodes[n];
-            let mpiexec = find_mpiexec(node, handle.perf_pids[j])?;
-            let exited = node.tasks.get(mpiexec).exited_at?;
+        for (j, &n) in aj.placement.iter().enumerate() {
+            let exited = match aj.exits[j] {
+                Some(exit) => exit.mpiexec?,
+                None => {
+                    if self.down[n] || aj.incarnations[j] != self.incarnation[n] {
+                        return None;
+                    }
+                    let node = &self.nodes[n];
+                    let mpiexec = find_mpiexec(node, aj.perf_pids[j])?;
+                    node.tasks.get(mpiexec).exited_at?
+                }
+            };
             exec = exec.max(exited.since(handle.launched_at[j]));
         }
         Some(exec)
+    }
+
+    /// True iff job `aj` occupies cluster node `n`: placed on `n`, not
+    /// failed, and its launcher tree there is alive on the incarnation
+    /// that spawned it.
+    fn occupies(&self, aj: &ActiveJob, n: usize) -> bool {
+        !aj.failed
+            && aj.placement.iter().position(|&p| p == n).is_some_and(|j| {
+                aj.incarnations[j] == self.incarnation[n]
+                    && self.nodes[n].tasks.get(aj.perf_pids[j]).state != TaskState::Dead
+            })
+    }
+
+    /// Drop the jobs that no longer occupy node `n` from its live list.
+    fn prune_live(&mut self, n: usize) {
+        let mut live = std::mem::take(&mut self.live[n]);
+        live.retain(|&ji| self.occupies(&self.jobs[ji], n));
+        self.live[n] = live;
     }
 
     /// Number of jobs currently occupying cluster node `n`: launched,
     /// placed on `n`, not failed, and whose launcher tree on `n` has not
     /// yet exited. This is the quantity a batch policy's occupancy limit
     /// bounds; a crash releases its jobs' occupancy here immediately.
+    /// Reads the live-job index, so it costs the jobs still listed on
+    /// `n`, not every job ever launched.
     pub fn active_jobs_on(&self, n: usize) -> usize {
-        self.jobs
+        let count = self.live[n]
             .iter()
-            .filter(|aj| {
-                !aj.failed
-                    && aj.placement.iter().position(|&p| p == n).is_some_and(|j| {
-                        aj.incarnations[j] == self.incarnation[n]
-                            && self.nodes[n].tasks.get(aj.perf_pids[j]).state != TaskState::Dead
-                    })
-            })
-            .count()
+            .filter(|&&ji| self.occupies(&self.jobs[ji], n))
+            .count();
+        debug_assert_eq!(count, self.active_jobs_on_scan(n));
+        count
+    }
+
+    /// Reference for [`Self::active_jobs_on`]: the same count by a scan
+    /// over every job ever launched.
+    pub fn active_jobs_on_scan(&self, n: usize) -> usize {
+        self.jobs.iter().filter(|aj| self.occupies(aj, n)).count()
+    }
+
+    /// Check the window loop's incremental state against the reference
+    /// scans: the live-job index against [`Self::active_jobs_on_scan`],
+    /// every cached next-event time not due for a refresh against the
+    /// node's queue, and every up node holding captured messages
+    /// against the set the next routing pass drains. Returns the first
+    /// mismatch. Read-only, so checking never changes a run; the
+    /// torture harness calls it after every window.
+    pub fn check_indexes(&self) -> Result<(), String> {
+        for n in 0..self.nodes.len() {
+            let (index, scan) = (self.active_jobs_on(n), self.active_jobs_on_scan(n));
+            if index != scan {
+                return Err(format!(
+                    "node {n}: live-job index counts {index} jobs, scan counts {scan}"
+                ));
+            }
+            if !self.stale.contains(n) {
+                let cached = Some(self.next_at[n]).filter(|&t| t != NEVER);
+                let queue = if self.down[n] {
+                    None
+                } else {
+                    self.nodes[n].next_event_time()
+                };
+                if cached != queue {
+                    return Err(format!(
+                        "node {n}: cached next event {cached:?}, queue says {queue:?}"
+                    ));
+                }
+            }
+            if !self.down[n] && self.nodes[n].has_outbound() && !self.unrouted.contains(n) {
+                return Err(format!(
+                    "node {n} holds outbound messages the next routing pass skips"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Run `hook` with the cluster at the end of every window, after
+    /// routing (replacing any earlier hook). For read-only probes such
+    /// as [`Self::check_indexes`]: the hook sees the cluster but cannot
+    /// change it, so a hooked run is identical to an unhooked one.
+    pub fn on_window(&mut self, hook: impl FnMut(&Cluster) + 'static) {
+        self.window_hook = Some(Box::new(hook));
     }
 
     /// Total jobs ever launched on the cluster.

@@ -48,8 +48,9 @@ pub fn write_failure(dir: &Path, shrunk: &Shrunk) -> std::io::Result<ArtifactPat
     write!(f, "{}", shrunk.scenario.to_text())?;
 
     let trace_path = dir.join(format!("failure-{seed:#x}.trace.json"));
-    let report = run_scenario(&shrunk.scenario, false, true);
-    let trace = match report.trace {
+    // A scenario that panics leaves no trace to write.
+    let report = std::panic::catch_unwind(|| run_scenario(&shrunk.scenario, false, true));
+    let trace = match report.ok().and_then(|r| r.trace) {
         Some(json) => {
             std::fs::write(&trace_path, json)?;
             Some(trace_path)

@@ -14,7 +14,9 @@
 //! crash/restart churn on batch workloads) onto every multi-node
 //! scenario instead of leaving the plan to the sampler's dice.
 //!
-//! Exit code 0 = everything held; 1 = a failure was found (artifact
+//! A scenario that panics is reported like any other failure (with its
+//! sweep index, shrunk, and written as an artifact) and the sweep goes
+//! on. Exit code 0 = everything held; 1 = a failure was found (artifact
 //! paths are printed).
 
 use hpl_torture::artifact::{read_artifact, write_failure};
@@ -101,14 +103,16 @@ fn describe(sc: &Scenario) -> String {
     )
 }
 
-/// Run one scenario through the full check; on failure, shrink and
-/// write artifacts. Returns false if the scenario failed.
-fn torture_one(sc: &Scenario, out: &Path) -> bool {
+/// Run one scenario through the full check; on failure (a panic
+/// included), shrink and write artifacts. `origin` says where the
+/// scenario came from (sweep index or replay file). Returns false if
+/// the scenario failed.
+fn torture_one(sc: &Scenario, origin: &str, out: &Path) -> bool {
     let failures = check_scenario(sc);
     if failures.is_empty() {
         return true;
     }
-    eprintln!("FAILURE seed={:#x}: {}", sc.seed, describe(sc));
+    eprintln!("FAILURE {origin} seed={:#x}: {}", sc.seed, describe(sc));
     for f in &failures {
         eprintln!("  {f}");
     }
@@ -200,6 +204,15 @@ fn selftest(out: &Path) -> bool {
 
 fn main() {
     let args = parse_args();
+    // Scenario panics are caught and reported as failures; one line
+    // per panic (where it happened) keeps a sweep's log readable where
+    // the default hook would print a backtrace for every shrink run.
+    std::panic::set_hook(Box::new(|info| {
+        let at = info
+            .location()
+            .map_or_else(String::new, |l| format!(" at {l}"));
+        eprintln!("  panicked{at}");
+    }));
     let mut failed = 0u64;
 
     if let Some(path) = &args.replay {
@@ -211,7 +224,7 @@ fn main() {
             }
         };
         println!("replaying {}: {}", path.display(), describe(&sc));
-        if torture_one(&sc, &args.out) {
+        if torture_one(&sc, &format!("replay {}", path.display()), &args.out) {
             println!("replay passed: no violations, loops agree");
             std::process::exit(0);
         }
@@ -227,7 +240,8 @@ fn main() {
         if args.faults && sc.nodes > 1 && sc.faults.is_none() {
             sc.install_fault_plan(args.seed ^ i.rotate_left(17));
         }
-        if !torture_one(&sc, &args.out) {
+        let origin = format!("scenario {i} of base seed {:#x}", args.seed);
+        if !torture_one(&sc, &origin, &args.out) {
             failed += 1;
         }
         if (i + 1) % 50 == 0 {

@@ -37,7 +37,7 @@ pub mod runner;
 pub mod scenario;
 pub mod shrink;
 
-pub use oracle::{InvariantOracle, Violation};
+pub use oracle::{IndexOracle, InvariantOracle, Violation};
 pub use runner::{analytic_differential, check_scenario, run_scenario, Failure, RunReport};
 pub use scenario::{
     BatchPolicyKind, BatchSpec, Fault, ModeKind, MpiSpec, OpKind, PolicyKind, Scenario, SoupSpec,

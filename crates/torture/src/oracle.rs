@@ -33,12 +33,19 @@
 //! 7. **Virtual-time monotonicity** — event timestamps never regress,
 //!    and delivered network messages respect the fabric's minimum
 //!    latency with `queued <= latency`.
+//!
+//! A second, cluster-level oracle, [`IndexOracle`], holds the lockstep
+//! driver's incremental state (live-job index, cached next-event times,
+//! pending-routing set) equal to the reference scans after every window.
 
+use hpl_cluster::Cluster;
 use hpl_kernel::observe::{DeactivateReason, SchedEvent, SchedObserver};
 use hpl_kernel::{class_of_policy, ClassKind, Node, Pid, Policy, TaskState};
 use hpl_sim::{SimDuration, SimTime};
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Cap on recorded violations per oracle: a truly broken scheduler
 /// produces millions, and the first few are the diagnostic ones.
@@ -855,5 +862,50 @@ impl SchedObserver for InvariantOracle {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+/// Cluster-level oracle: after every lockstep window it checks the
+/// driver's incremental state against the reference scans
+/// ([`Cluster::check_indexes`]) — the per-node live-job index against
+/// the scan over every launched job, the cached next-event array
+/// against each node's queue, and the pending-routing set against the
+/// nodes holding captured messages. Runs in release builds, unlike the
+/// debug assertions inside the cluster.
+#[derive(Debug, Default)]
+pub struct IndexOracle {
+    violations: Rc<RefCell<Vec<Violation>>>,
+}
+
+impl IndexOracle {
+    /// Hook a new oracle into `cluster`'s window loop (replacing any
+    /// earlier window hook). The check is read-only, so an oracle-hooked
+    /// run is identical to an unhooked one.
+    pub fn attach(cluster: &mut Cluster) -> Self {
+        let oracle = IndexOracle::default();
+        let sink = Rc::clone(&oracle.violations);
+        cluster.on_window(move |c| {
+            if let Err(detail) = c.check_indexes() {
+                let mut v = sink.borrow_mut();
+                if v.len() < MAX_VIOLATIONS {
+                    v.push(Violation {
+                        at: c
+                            .nodes()
+                            .iter()
+                            .map(Node::now)
+                            .max()
+                            .unwrap_or(SimTime::ZERO),
+                        rule: "cluster-index",
+                        detail,
+                    });
+                }
+            }
+        });
+        oracle
+    }
+
+    /// Mismatches recorded so far (at most one per window).
+    pub fn violations(&self) -> Vec<Violation> {
+        self.violations.borrow().clone()
     }
 }

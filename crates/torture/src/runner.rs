@@ -10,7 +10,7 @@
 //! mechanistic cluster against the analytic [`ResonanceModel`] on a
 //! bulk-synchronous job where the model's assumptions hold.
 
-use crate::oracle::{InvariantOracle, Violation};
+use crate::oracle::{IndexOracle, InvariantOracle, Violation};
 use crate::scenario::{
     BatchPolicyKind, BatchSpec, CoordKind, Fault, ModeKind, OpKind, PolicyKind, Scenario, SoupSpec,
     SoupStep, TopoKind, Workload,
@@ -820,6 +820,7 @@ fn run_cluster(sc: &Scenario, fast: bool, with_trace: bool) -> RunReport {
         .cosim(cosim)
         .faults(sc.faults.clone())
         .build();
+    let index_oracle = IndexOracle::attach(&mut cluster);
     let mut oracle_ids = Vec::new();
     let mut trace_ids = Vec::new();
     for i in 0..sc.nodes as usize {
@@ -846,6 +847,7 @@ fn run_cluster(sc: &Scenario, fast: bool, with_trace: bool) -> RunReport {
         Workload::Soup(_) => panic!("multi-node scenarios cannot run a soup"),
     };
     let mut violations = batch_violations;
+    violations.extend(index_oracle.violations());
     let mut gang_logs: Vec<Vec<(u64, Option<u64>)>> = Vec::new();
     let mut slice_logs: Vec<Vec<(u64, u64, u32, u64)>> = Vec::new();
     let mut lease_counts: Vec<u64> = Vec::new();
@@ -924,7 +926,7 @@ fn run_cluster(sc: &Scenario, fast: bool, with_trace: bool) -> RunReport {
 /// One reason a scenario failed its checks.
 #[derive(Debug, Clone)]
 pub struct Failure {
-    /// Stable category: `invariant`, `liveness` or `divergence`.
+    /// Stable category: `invariant`, `liveness`, `divergence` or `panic`.
     pub kind: &'static str,
     /// Specifics.
     pub detail: String,
@@ -938,8 +940,31 @@ impl std::fmt::Display for Failure {
 
 /// The full torture check for one scenario: run it on the reference and
 /// fast event loops, demand zero invariant violations, completion on
-/// both, and bit-equal end states across the two flavours.
+/// both, and bit-equal end states across the two flavours. A panic
+/// anywhere in the runs is caught and reported as a `panic` failure, so
+/// a sweep names the scenario and the shrinker can minimise it.
 pub fn check_scenario(sc: &Scenario) -> Vec<Failure> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check_runs(sc))).unwrap_or_else(
+        |payload| {
+            vec![Failure {
+                kind: "panic",
+                detail: panic_message(payload.as_ref()),
+            }]
+        },
+    )
+}
+
+/// The message of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// [`check_scenario`] without the panic guard.
+fn check_runs(sc: &Scenario) -> Vec<Failure> {
     let mut failures = Vec::new();
     let r = run_scenario(sc, false, false);
     let f = run_scenario(sc, true, false);

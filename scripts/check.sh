@@ -41,6 +41,9 @@ cargo run --release -q -p hpl-torture --bin torture -- --smoke
 echo "== fault torture smoke (forced fault plans: loss, degrade, crash/restart churn) =="
 cargo run --release -q -p hpl-torture --bin torture -- --smoke --faults --skip-analytic --skip-selftest
 
+echo "== torture sweep, seed 9 (crash after a tree exit, index oracle every window) =="
+cargo run --release -q -p hpl-torture --bin torture -- --seed 9 --scenarios 250 --skip-analytic --skip-selftest
+
 echo "== batch scheduler smoke (two-level sweep completes) =="
 cargo run --release -q -p hpl-bench --bin batch -- --smoke --out target/BENCH_batch_smoke.json
 
