@@ -57,7 +57,7 @@ fn bench_event_queue(c: &mut Criterion) {
                 q.schedule(SimTime::from_nanos((i * 7919) % 100_000), i);
             }
             let mut acc = 0;
-            while let Some((_, _, v)) = q.pop() {
+            while let Some((_, _, Some(v))) = q.pop() {
                 acc += v;
             }
             black_box(acc)

@@ -19,13 +19,16 @@
 //! The model is deliberately capacity-free: warmths of different tasks on
 //! one core are independent except for eviction-by-running, which keeps
 //! the bookkeeping O(tasks-touched-this-core) and is sufficient to
-//! produce the performance asymmetries the paper measures.
+//! produce the performance asymmetries the paper measures. A core holds
+//! a handful of footprints (pruned below [`PRUNE_THRESHOLD`]), so they
+//! live in a small vector searched linearly rather than a hash map;
+//! every update touches one entry on its own, so the entry order never
+//! affects a result.
 
 use crate::config::KernelConfig;
 use crate::task::Pid;
 use hpl_sim::SimDuration;
 use hpl_topology::{CpuId, Topology};
-use std::collections::HashMap;
 
 /// Warmth below which a footprint entry is dropped.
 const PRUNE_THRESHOLD: f64 = 1e-3;
@@ -33,24 +36,28 @@ const PRUNE_THRESHOLD: f64 = 1e-3;
 /// Cache warmth state for every physical core.
 #[derive(Debug)]
 pub struct CacheModel {
-    /// Per-core map of task → warmth fraction.
-    cores: Vec<HashMap<Pid, f64>>,
+    /// Per-core footprints: (task, warmth fraction), at most one entry
+    /// per task.
+    cores: Vec<Vec<(Pid, f64)>>,
 }
 
 impl CacheModel {
     /// Create the model for a machine.
     pub fn new(topo: &Topology) -> Self {
         CacheModel {
-            cores: (0..topo.total_cores()).map(|_| HashMap::new()).collect(),
+            cores: (0..topo.total_cores()).map(|_| Vec::new()).collect(),
         }
     }
 
     /// Current warmth of `pid` on the core of `cpu`.
     pub fn warmth(&self, topo: &Topology, cpu: CpuId, pid: Pid) -> f64 {
-        self.cores[topo.core_of(cpu) as usize]
-            .get(&pid)
-            .copied()
-            .unwrap_or(0.0)
+        Self::get(&self.cores[topo.core_of(cpu) as usize], pid)
+    }
+
+    fn get(core: &[(Pid, f64)], pid: Pid) -> f64 {
+        core.iter()
+            .find(|&&(owner, _)| owner == pid)
+            .map_or(0.0, |&(_, w)| w)
     }
 
     /// Execution-speed factor from cache state for `pid` running on `cpu`.
@@ -69,23 +76,41 @@ impl CacheModel {
         pid: Pid,
         dt: SimDuration,
     ) {
+        let warm_rate = (-dt.as_secs_f64() / cfg.cache_warm_tau.as_secs_f64()).exp();
+        self.run_for_at(cfg, topo, cpu, pid, dt, warm_rate);
+    }
+
+    /// [`Self::run_for`] given its rewarming factor
+    /// `warm_rate = exp(−dt/cache_warm_tau)`, for a caller that already
+    /// computed it.
+    pub fn run_for_at(
+        &mut self,
+        cfg: &KernelConfig,
+        topo: &Topology,
+        cpu: CpuId,
+        pid: Pid,
+        dt: SimDuration,
+        warm_rate: f64,
+    ) {
         if dt.is_zero() {
             return;
         }
         let core = topo.core_of(cpu) as usize;
-        let dt_s = dt.as_secs_f64();
-        let warm_rate = (-dt_s / cfg.cache_warm_tau.as_secs_f64()).exp();
-        let evict_rate = (-dt_s / cfg.cache_evict_tau.as_secs_f64()).exp();
-        let map = &mut self.cores[core];
-        for (&owner, w) in map.iter_mut() {
-            if owner == pid {
+        let evict_rate = (-dt.as_secs_f64() / cfg.cache_evict_tau.as_secs_f64()).exp();
+        let entries = &mut self.cores[core];
+        let mut found = false;
+        for (owner, w) in entries.iter_mut() {
+            if *owner == pid {
                 *w = 1.0 - (1.0 - *w) * warm_rate;
+                found = true;
             } else {
                 *w *= evict_rate;
             }
         }
-        map.entry(pid).or_insert_with(|| 1.0 - warm_rate);
-        map.retain(|_, w| *w > PRUNE_THRESHOLD);
+        if !found {
+            entries.push((pid, 1.0 - warm_rate));
+        }
+        entries.retain(|&(_, w)| w > PRUNE_THRESHOLD);
     }
 
     /// Account a migration of `pid` from `from` to `to`.
@@ -107,26 +132,26 @@ impl CacheModel {
         if from_core == to_core {
             return;
         }
-        let old = self.cores[from_core].get(&pid).copied().unwrap_or(0.0);
+        let old = Self::get(&self.cores[from_core], pid);
         let retained = match topo.shared_cache_level(from, to) {
             Some(_) => old * cfg.shared_cache_retention,
             None => 0.0,
         };
         // Whatever the task had built on the destination core previously
         // (e.g. ping-pong migrations) may still be partially there.
-        let existing = self.cores[to_core].get(&pid).copied().unwrap_or(0.0);
+        let entries = &mut self.cores[to_core];
+        let existing = Self::get(entries, pid);
         let new_w = retained.max(existing);
+        entries.retain(|&(owner, _)| owner != pid);
         if new_w > PRUNE_THRESHOLD {
-            self.cores[to_core].insert(pid, new_w);
-        } else {
-            self.cores[to_core].remove(&pid);
+            entries.push((pid, new_w));
         }
     }
 
     /// Remove all footprints of a dead task.
     pub fn forget(&mut self, pid: Pid) {
         for core in &mut self.cores {
-            core.remove(&pid);
+            core.retain(|&(owner, _)| owner != pid);
         }
     }
 }

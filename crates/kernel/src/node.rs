@@ -36,17 +36,22 @@ use crate::sync::{ChanId, SyncState, WaitOutcome, Waiting};
 use crate::task::{BlockReason, Pid, SpinTarget, Task, TaskState, TaskTable};
 use crate::trace::TraceBuffer;
 use hpl_perf::{HwEvent, PerCpuCounters, RunOutcome, SwEvent};
-use hpl_sim::{EventQueue, Rng, SimDuration, SimTime};
+use hpl_sim::{round_u64, EventQueue, Rng, SimDuration, SimTime, TimerId};
 use hpl_topology::{CpuId, CpuMask, DomainHierarchy, Topology};
 
-// `Clone` because periodic timer-wheel slots re-arm by cloning their
-// payload on every pop (all variants are tiny Copy-able data).
+// `Clone` because periodic timer-wheel slots and completion timers
+// hand out a clone of their payload on every pop (all variants are tiny
+// Copy-able data).
 #[derive(Debug, Clone)]
 enum Ev {
     Tick(CpuId),
+    /// The current task's segment on `cpu` should be done. The reference
+    /// loop tags each estimate with the CPU's completion generation and
+    /// ignores a superseded one when it pops; the fast loop's per-CPU
+    /// completion timer delivers only its live estimate (`gen: None`).
     SegDone {
         cpu: CpuId,
-        gen: u64,
+        gen: Option<u64>,
     },
     TimerWake(Pid),
     Irq,
@@ -88,6 +93,7 @@ pub struct NetMsg {
 struct CpuState {
     curr: Option<Pid>,
     last_update: SimTime,
+    /// Completion generation (reference loop only).
     seg_gen: u64,
     pending_overhead: SimDuration,
 }
@@ -191,6 +197,7 @@ impl NodeBuilder {
             load: LoadSnapshot::empty(ncpus),
             plan_buf: Vec::new(),
             tick_slots: Vec::new(),
+            seg_timers: Vec::new(),
             ff_horizons: vec![SimTime::ZERO; ncpus],
             ff_fired: vec![0; ncpus],
             ff_start: vec![SimTime::ZERO; ncpus],
@@ -202,6 +209,7 @@ impl NodeBuilder {
             gang_shares: initial_shares,
             gang_slice_mark: None,
             events: 0,
+            dispatched: 0,
         };
         // Stagger per-CPU ticks across the tick period. The fast path
         // routes them through the queue's periodic timer-wheel slots;
@@ -218,6 +226,11 @@ impl NodeBuilder {
                     .schedule_periodic(first, period, Ev::Tick(CpuId(c)));
                 debug_assert_eq!(id.index(), c as usize);
                 node.tick_slots.push(id);
+                let timer = node.queue.add_timer(Ev::SegDone {
+                    cpu: CpuId(c),
+                    gen: None,
+                });
+                node.seg_timers.push(timer);
             } else {
                 node.queue.schedule(first, Ev::Tick(CpuId(c)));
             }
@@ -315,6 +328,9 @@ pub struct Node {
     plan_buf: Vec<MigrationPlan>,
     /// Timer-wheel slot per CPU (`fast_event_loop` only; slot i == cpu i).
     tick_slots: Vec<hpl_sim::PeriodicId>,
+    /// Segment-completion timer per CPU (`fast_event_loop` only; timer
+    /// i == cpu i). Re-arming leaves the superseded estimate as a mark.
+    seg_timers: Vec<TimerId>,
     /// Scratch for `fast_forward` (per-slot horizons / fire counts /
     /// pre-batch tick times for all-idle balance replay).
     ff_horizons: Vec<SimTime>,
@@ -346,8 +362,10 @@ pub struct Node {
     /// — dedups re-emission when `gang_recompute` runs mid-slice.
     /// Observer bookkeeping only; never read by scheduling decisions.
     gang_slice_mark: Option<(u64, u64)>,
-    /// Events processed (dispatched + batch-fired ticks).
+    /// Events processed (dispatched + batch-fired ticks + popped marks).
     events: u64,
+    /// Events handed to `dispatch`.
+    dispatched: u64,
 }
 
 impl Node {
@@ -566,9 +584,15 @@ impl Node {
     /// `w0`, given the SMT factor. Closed form of
     /// `∫ smt·(cold + (1−cold)·w(t)) dt` with exponential rewarming.
     fn work_integral(&self, smt: f64, w0: f64, dt_s: f64) -> f64 {
+        let tau = self.cfg.cache_warm_tau.as_secs_f64();
+        self.work_integral_at(smt, w0, dt_s, (-dt_s / tau).exp())
+    }
+
+    /// [`Self::work_integral`] given its `exp(−dt_s/τ_warm)`.
+    fn work_integral_at(&self, smt: f64, w0: f64, dt_s: f64, warm_rate: f64) -> f64 {
         let cold = self.cfg.cache_cold_factor;
         let tau = self.cfg.cache_warm_tau.as_secs_f64();
-        smt * (dt_s - (1.0 - cold) * (1.0 - w0) * tau * (1.0 - (-dt_s / tau).exp()))
+        smt * (dt_s - (1.0 - cold) * (1.0 - w0) * tau * (1.0 - warm_rate))
     }
 
     /// Inverse of [`Self::work_integral`]: wall time needed to complete
@@ -621,12 +645,15 @@ impl Node {
         let smt = self.smt_factor(cpu);
         let w0 = self.cache.warmth(&self.topo, cpu, pid);
         let dt_s = productive.as_secs_f64();
-        let work_s = self.work_integral(smt, w0, dt_s);
-        let work_ns = (work_s * 1e9).round() as u64;
+        // exp(−dt/τ_warm): shared by the work integral and the cache
+        // model's rewarming, which would otherwise compute it again.
+        let warm_rate = (-dt_s / self.cfg.cache_warm_tau.as_secs_f64()).exp();
+        let work_s = self.work_integral_at(smt, w0, dt_s, warm_rate);
+        let work_ns = round_u64(work_s * 1e9);
         // Counter attribution: lost cycles split between SMT contention
         // and cold-cache stall.
         let ideal_ns = productive.as_nanos();
-        let smt_progress_ns = ((dt_s * smt * 1e9).round() as u64).min(ideal_ns);
+        let smt_progress_ns = round_u64(dt_s * smt * 1e9).min(ideal_ns);
         let smt_loss = ideal_ns - smt_progress_ns;
         let cache_loss = ideal_ns.saturating_sub(work_ns).saturating_sub(smt_loss);
         self.counters.add_hw(cpu, HwEvent::BusyNs, ideal_ns);
@@ -645,15 +672,16 @@ impl Node {
         let (classes, tasks) = (&mut self.classes, &mut self.tasks);
         classes[ci].update_curr(cpu, tasks.get_mut(pid), productive);
         self.cache
-            .run_for(&self.cfg, &self.topo, cpu, pid, productive);
+            .run_for_at(&self.cfg, &self.topo, cpu, pid, productive, warm_rate);
     }
 
-    /// Re-estimate and schedule the segment-completion event of `cpu`.
+    /// Re-estimate the segment completion of `cpu` and post it,
+    /// superseding the previous estimate (which still pops, inert, at
+    /// its own time: see [`Self::post_completion`]).
     fn schedule_completion(&mut self, cpu: CpuId) {
         let idx = cpu.index();
-        self.cpus[idx].seg_gen += 1;
-        let gen = self.cpus[idx].seg_gen;
         let Some(pid) = self.cpus[idx].curr else {
+            self.post_completion(cpu, None);
             return;
         };
         let remaining = self.tasks.get(pid).segment_remaining;
@@ -661,7 +689,7 @@ impl Node {
             // The segment completed during accounting (e.g. a tick synced
             // right past the estimated completion); fire immediately so
             // the program advances.
-            self.queue.schedule(self.now(), Ev::SegDone { cpu, gen });
+            self.post_completion(cpu, Some(self.now()));
             return;
         }
         let smt = self.smt_factor(cpu);
@@ -670,8 +698,31 @@ impl Node {
         // Pending overheads delay completion by exactly their length.
         dt_s += self.cpus[idx].pending_overhead.as_secs_f64();
         let dt = SimDuration::from_secs_f64(dt_s).max(SimDuration::from_nanos(1));
-        self.queue
-            .schedule(self.now() + dt, Ev::SegDone { cpu, gen });
+        self.post_completion(cpu, Some(self.now() + dt));
+    }
+
+    /// Replace `cpu`'s pending completion estimate with one at `at`
+    /// (`None`: no task, no estimate). The fast loop re-arms the CPU's
+    /// completion timer, which keeps the superseded estimate as a mark;
+    /// the reference loop bumps the CPU's generation and schedules a
+    /// fresh heap event, so the superseded one pops and is ignored.
+    /// Either way the superseded estimate still pops at its `(time,
+    /// seq)`, and at a stop point it can be what `now()` reads.
+    fn post_completion(&mut self, cpu: CpuId, at: Option<SimTime>) {
+        let idx = cpu.index();
+        if self.cfg.fast_event_loop {
+            let timer = self.seg_timers[idx];
+            match at {
+                Some(at) => _ = self.queue.arm(timer, at),
+                None => self.queue.disarm(timer),
+            }
+            return;
+        }
+        self.cpus[idx].seg_gen += 1;
+        if let Some(at) = at {
+            let gen = Some(self.cpus[idx].seg_gen);
+            self.queue.schedule(at, Ev::SegDone { cpu, gen });
+        }
     }
 
     // ---------------------------------------------------------------
@@ -1943,10 +1994,10 @@ impl Node {
         }
     }
 
-    fn on_seg_done(&mut self, cpu: CpuId, gen: u64) {
+    fn on_seg_done(&mut self, cpu: CpuId, gen: Option<u64>) {
         let idx = cpu.index();
-        if gen != self.cpus[idx].seg_gen {
-            return; // superseded estimate
+        if gen.is_some_and(|g| g != self.cpus[idx].seg_gen) {
+            return; // superseded estimate (reference loop)
         }
         let now = self.now();
         self.sync_cpu(cpu, now);
@@ -2104,16 +2155,50 @@ impl Node {
             return false;
         };
         self.events += 1;
-        self.dispatch(ev);
+        // A mark (a superseded completion estimate) has nothing to
+        // dispatch, but a flag set between runs still drains here.
+        if let Some(ev) = ev {
+            self.dispatched += 1;
+            self.dispatch(ev);
+        }
         self.drain();
         true
     }
 
-    /// Total events processed so far (dispatched plus batch-fired
-    /// quiescent ticks). The perf-regression bench divides this by wall
-    /// time to get simulated events/second.
+    /// Total events processed so far: dispatched events, batch-fired
+    /// quiescent ticks and popped completion marks. Identical on the
+    /// fast and reference loops (the reference loop dispatches its
+    /// superseded completions), so it is the figure they are compared
+    /// on.
     pub fn events_processed(&self) -> u64 {
         self.events
+    }
+
+    /// Events that went through the event handlers. Excludes
+    /// batch-fired ticks and the fast loop's completion marks, so it
+    /// is the count to divide by wall time for a throughput that
+    /// reflects handler work.
+    pub fn events_dispatched(&self) -> u64 {
+        self.dispatched
+    }
+
+    /// Pop a run of completion marks at the head of the queue in one
+    /// call, at or before `until` and at most `max` of them, and count
+    /// them as processed. Exactly what stepping them one by one does —
+    /// fast-forward is a no-op while a mark is next, and a mark's step
+    /// only moves the clock — as long as no reschedule or re-estimate
+    /// flag is pending: a flag set by a call between runs must drain at
+    /// the first popped occurrence, so then nothing is skipped.
+    fn skip_marks(&mut self, until: SimTime, max: u64) -> u64 {
+        if !self.queue.mark_is_next()
+            || self.resched.iter().any(|&r| r)
+            || self.recomp.iter().any(|&r| r)
+        {
+            return 0;
+        }
+        let n = self.queue.skip_marks(until, max);
+        self.events += n;
+        n
     }
 
     /// Quiescence fast-forward: batch-fire timer ticks that
@@ -2275,6 +2360,7 @@ impl Node {
     pub fn run_until_time(&mut self, deadline: SimTime) {
         let bound = deadline + SimDuration::from_nanos(1);
         loop {
+            self.skip_marks(deadline, u64::MAX);
             self.fast_forward(Some(bound));
             if self.queue.peek_time().is_none_or(|t| t > deadline) {
                 break;
@@ -2294,14 +2380,16 @@ impl Node {
     /// Run until `pid` has exited, or until the run can provably not
     /// finish: [`RunOutcome::Deadlock`] when the event queue drains with
     /// the task still alive (a lost wakeup or blocked dependency),
-    /// [`RunOutcome::BudgetExhausted`] after `max_events` dispatched
-    /// events (hang guard; batched quiescent ticks do not count).
+    /// [`RunOutcome::BudgetExhausted`] after `max_events` stepped
+    /// events (hang guard; popped completion marks count, batched
+    /// quiescent ticks do not).
     ///
     /// The node is left exactly where the run stopped — callers can
     /// inspect tasks, counters and observers in all three cases.
     pub fn run_until_exit(&mut self, pid: Pid, max_events: u64) -> RunOutcome {
         let mut budget = max_events;
         while self.tasks.get(pid).state != TaskState::Dead {
+            budget -= self.skip_marks(SimTime::MAX, budget);
             self.fast_forward(None);
             if !self.step() {
                 return RunOutcome::Deadlock;

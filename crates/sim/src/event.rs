@@ -1,20 +1,33 @@
 //! Deterministic event queue.
 //!
-//! A thin wrapper over [`BinaryHeap`] that orders events by `(time, seq)`
-//! where `seq` is a monotonically increasing insertion counter. Two events
-//! scheduled for the same instant therefore pop in insertion order — the
-//! property that makes a whole simulation run a *total* order, reproducible
-//! from the RNG seed alone regardless of host platform.
+//! Orders occurrences by `(time, seq)`, where `seq` is a monotonically
+//! increasing allocation counter. Two occurrences at the same instant
+//! therefore pop in allocation order — the property that makes a whole
+//! simulation run a *total* order, reproducible from the RNG seed alone
+//! regardless of host platform.
 //!
-//! Events also carry a generation-friendly [`EventId`] so producers can
-//! lazily cancel: rather than removing an entry from the heap (O(n)),
-//! callers remember the id of the event they still care about and ignore
-//! stale pops. The kernel uses this for compute-completion events that are
-//! superseded whenever a task's execution speed changes.
+//! Three kinds of source merge under that one order:
+//!
+//! * a [`BinaryHeap`] of one-shot events ([`EventQueue::schedule`]);
+//! * periodic slots ([`EventQueue::schedule_periodic`]) that re-arm in
+//!   place when they fire — the kernel's per-CPU timer ticks;
+//! * re-armable timers ([`EventQueue::add_timer`]) holding at most one
+//!   *live* occurrence each — the kernel's per-CPU segment-completion
+//!   estimate, re-armed on every busy tick.
+//!
+//! Re-arming a timer does not cancel the occurrence it replaces: that
+//! occurrence stays in the timer as a payload-free *mark* with its
+//! original `(time, seq)`, pops in order like any event, moves
+//! [`EventQueue::now`] and counts in [`EventQueue::len`]. A queue with
+//! timers is therefore observably identical to one where every arm is a
+//! plain `schedule` and a superseded occurrence is recognised (by a
+//! generation check) and ignored when it pops — but the superseded
+//! estimates no longer churn through the heap, and a caller can consume
+//! a run of marks in one call ([`EventQueue::skip_marks`]).
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Identifier of a scheduled event, unique within one [`EventQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -23,6 +36,13 @@ pub struct EventId(u64);
 impl EventId {
     /// A sentinel id that no real event ever receives.
     pub const NONE: EventId = EventId(u64::MAX);
+
+    /// The sequence number behind the id: the event's rank among events
+    /// at the same time.
+    #[inline]
+    pub fn seq(self) -> u64 {
+        self.0
+    }
 }
 
 /// Handle to a periodic slot created by [`EventQueue::schedule_periodic`].
@@ -53,6 +73,110 @@ struct PeriodicSlot<E> {
     seq: u64,
     period: SimDuration,
     payload: E,
+}
+
+/// Handle to a re-armable timer created by [`EventQueue::add_timer`].
+///
+/// Timers are never removed, so the handle indexes a stable internal
+/// array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TimerId(usize);
+
+/// A re-armable timer: at most one live occurrence plus the marks of
+/// the occurrences it superseded.
+///
+/// `pending` holds every unpopped occurrence of the timer, live or
+/// mark, sorted by `(time, seq)`; `live` names the one that still
+/// carries the payload. Arming appends a fresh key (almost always at
+/// the back: a re-estimate rarely moves earlier than the one it
+/// replaces), so the superseded key stays exactly where it was.
+struct Timer<E> {
+    pending: VecDeque<(SimTime, u64)>,
+    live: Option<u64>,
+    payload: E,
+}
+
+/// Key of an empty timer in [`TimerTree`]: after every real key.
+const NO_KEY: (SimTime, u64) = (SimTime::MAX, u64::MAX);
+
+/// Tournament tree over the timers' earliest pending keys.
+///
+/// Leaf `i` holds timer `i`'s front key (or [`NO_KEY`]); each inner
+/// node holds the smaller of its children's, with the timer it came
+/// from, so the root is the queue-wide earliest timer occurrence. A
+/// timer whose front changed costs O(log timers) to refresh. Scanning
+/// every timer's front on each pop instead costs as much as the heap
+/// traffic the timers remove.
+struct TimerTree {
+    /// Leaf count: the timer count rounded up to a power of two, at
+    /// least two so the root is always `nodes[1]`.
+    leaves: usize,
+    /// `nodes[1..leaves]` inner nodes, `nodes[leaves + i]` timer `i`'s
+    /// leaf: `(key, timer)` of the earliest key in the subtree.
+    nodes: Vec<((SimTime, u64), usize)>,
+    /// Copy of `nodes[1]`, kept inline so that reading the earliest
+    /// timer occurrence — done on every pop and peek — touches no
+    /// memory beyond the queue itself.
+    root: ((SimTime, u64), usize),
+}
+
+impl TimerTree {
+    fn new() -> Self {
+        TimerTree {
+            leaves: 0,
+            nodes: Vec::new(),
+            root: (NO_KEY, 0),
+        }
+    }
+
+    /// Timer index and key of the earliest pending timer occurrence.
+    #[inline]
+    fn min(&self) -> Option<(usize, (SimTime, u64))> {
+        let (key, i) = self.root;
+        (key != NO_KEY).then_some((i, key))
+    }
+
+    /// Set timer `i`'s front key and replay its path to the root.
+    fn set(&mut self, i: usize, key: (SimTime, u64)) {
+        let mut k = self.leaves + i;
+        self.nodes[k] = (key, i);
+        while k > 1 {
+            k /= 2;
+            self.replay(k);
+        }
+        self.root = self.nodes[1];
+    }
+
+    /// Recompute inner node `k` from its two children.
+    #[inline]
+    fn replay(&mut self, k: usize) {
+        let (a, b) = (self.nodes[2 * k], self.nodes[2 * k + 1]);
+        self.nodes[k] = if a.0 <= b.0 { a } else { b };
+    }
+
+    /// Make room for `n` timers. New leaves start empty; when the leaf
+    /// count has to grow, the tree is rebuilt.
+    fn resize(&mut self, n: usize) {
+        if n <= self.leaves {
+            return;
+        }
+        let old = std::mem::take(&mut self.nodes);
+        let old_leaves = self.leaves;
+        self.leaves = n.next_power_of_two().max(2);
+        self.nodes = vec![(NO_KEY, 0); 2 * self.leaves];
+        for i in 0..self.leaves {
+            let key = if i < old_leaves {
+                old[old_leaves + i].0
+            } else {
+                NO_KEY
+            };
+            self.nodes[self.leaves + i] = (key, i);
+        }
+        for k in (1..self.leaves).rev() {
+            self.replay(k);
+        }
+        self.root = self.nodes[1];
+    }
 }
 
 struct Entry<E> {
@@ -94,7 +218,7 @@ impl<E> Ord for Entry<E> {
 /// q.schedule(SimTime::from_nanos(20), "later");
 /// q.schedule(SimTime::from_nanos(10), "sooner");
 /// let (t, _, what) = q.pop().unwrap();
-/// assert_eq!((t.as_nanos(), what), (10, "sooner"));
+/// assert_eq!((t.as_nanos(), what), (10, Some("sooner")));
 /// assert_eq!(q.now(), t);
 /// ```
 pub struct EventQueue<E> {
@@ -109,6 +233,11 @@ pub struct EventQueue<E> {
     /// an O(1) peek instead of an O(slots) scan — the timer-wheel merge
     /// cost a busy `pop`/`peek_time` pays on every call.
     periodic_order: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    /// Re-armable timers; `timer_order` ranks their earliest occurrences.
+    timers: Vec<Timer<E>>,
+    timer_order: TimerTree,
+    /// Total pending timer occurrences (live and marks).
+    timer_pending: usize,
     next_seq: u64,
     now: SimTime,
 }
@@ -126,6 +255,9 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             periodic: Vec::new(),
             periodic_order: BinaryHeap::new(),
+            timers: Vec::new(),
+            timer_order: TimerTree::new(),
+            timer_pending: 0,
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -138,17 +270,18 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending events. Each periodic slot always has exactly one
-    /// pending occurrence.
+    /// Number of pending occurrences. Each periodic slot always has
+    /// exactly one; each timer has its marks plus its live occurrence,
+    /// if armed.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len() + self.periodic.len()
+        self.heap.len() + self.periodic.len() + self.timer_pending
     }
 
-    /// True iff no events are pending.
+    /// True iff nothing is pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.periodic.is_empty()
+        self.len() == 0
     }
 
     /// Schedule `payload` at absolute time `at`.
@@ -231,46 +364,172 @@ impl<E> EventQueue<E> {
         self.periodic[id.0].time
     }
 
-    /// Pop the next event, advancing `now` to its timestamp.
+    /// Create a re-armable timer, initially unarmed. `payload` is what
+    /// its live occurrences deliver when they pop.
+    pub fn add_timer(&mut self, payload: E) -> TimerId {
+        self.timers.push(Timer {
+            pending: VecDeque::new(),
+            live: None,
+            payload,
+        });
+        self.timer_order.resize(self.timers.len());
+        TimerId(self.timers.len() - 1)
+    }
+
+    /// Arm `id` to fire at `at`, drawing the next seq exactly as
+    /// [`schedule`](Self::schedule) would. The occurrence it was armed
+    /// with before, if still pending, becomes a mark: it keeps its
+    /// `(time, seq)` and pops in order, without a payload.
     ///
-    /// Merges the heap with the periodic slots under the same total
-    /// `(time, seq)` order. A popped periodic occurrence re-arms its slot
-    /// in place (see [`PeriodicSlot`] for why that preserves determinism).
-    pub fn pop(&mut self) -> Option<(SimTime, EventId, E)>
+    /// Arming in the past is a logic error; debug builds panic, release
+    /// builds clamp to `now`.
+    pub fn arm(&mut self, id: TimerId, at: SimTime) -> EventId {
+        debug_assert!(
+            at >= self.now,
+            "arming timer in the past: at={at} now={}",
+            self.now
+        );
+        let key = (at.max(self.now), self.next_seq);
+        self.next_seq += 1;
+        let timer = &mut self.timers[id.0];
+        timer.live = Some(key.1);
+        self.timer_pending += 1;
+        match timer.pending.back().copied() {
+            Some(last) if last > key => {
+                let pos = timer.pending.partition_point(|&k| k < key);
+                timer.pending.insert(pos, key);
+                if pos == 0 {
+                    self.timer_order.set(id.0, key);
+                }
+            }
+            back => {
+                timer.pending.push_back(key);
+                if back.is_none() {
+                    self.timer_order.set(id.0, key);
+                }
+            }
+        }
+        EventId(key.1)
+    }
+
+    /// Disarm `id`: its live occurrence, if any, becomes a mark.
+    #[inline]
+    pub fn disarm(&mut self, id: TimerId) {
+        self.timers[id.0].live = None;
+    }
+
+    /// Pop the earliest occurrence of timer `i` (the tree's winner).
+    /// Returns `(time, seq, live)`.
+    fn pop_timer(&mut self, i: usize) -> (SimTime, u64, bool) {
+        let timer = &mut self.timers[i];
+        let (time, seq) = timer.pending.pop_front().expect("a pending occurrence");
+        let live = timer.live == Some(seq);
+        if live {
+            timer.live = None;
+        }
+        let front = timer.pending.front().copied().unwrap_or(NO_KEY);
+        self.timer_order.set(i, front);
+        self.timer_pending -= 1;
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.now = time;
+        (time, seq, live)
+    }
+
+    /// Earliest heap key, [`NO_KEY`] if the heap is empty.
+    #[inline]
+    fn heap_key(&self) -> (SimTime, u64) {
+        self.heap.peek().map_or(NO_KEY, |e| (e.time, e.seq))
+    }
+
+    /// Earliest periodic key, [`NO_KEY`] without slots.
+    #[inline]
+    fn periodic_key(&self) -> (SimTime, u64) {
+        self.periodic_order
+            .peek()
+            .map_or(NO_KEY, |&Reverse((t, seq, _))| (t, seq))
+    }
+
+    /// Pop the next occurrence, advancing `now` to its timestamp.
+    ///
+    /// Merges the heap, the periodic slots and the timers under the same
+    /// total `(time, seq)` order. A popped periodic occurrence re-arms
+    /// its slot in place (see [`PeriodicSlot`] for why that preserves
+    /// determinism). The payload is `None` for a timer's mark.
+    pub fn pop(&mut self) -> Option<(SimTime, EventId, Option<E>)>
     where
         E: Clone,
     {
-        let take_periodic = match (self.periodic_order.peek(), self.heap.peek()) {
-            (Some(&Reverse((t, seq, _))), Some(top)) => (t, seq) < (top.time, top.seq),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if take_periodic {
+        let (heap, periodic) = (self.heap_key(), self.periodic_key());
+        if let Some((i, key)) = self.timer_order.min() {
+            if key < heap && key < periodic {
+                let (time, seq, live) = self.pop_timer(i);
+                let payload = live.then(|| self.timers[i].payload.clone());
+                return Some((time, EventId(seq), payload));
+            }
+        }
+        if periodic < heap {
             let (time, id, i) = self.fire_best_periodic();
-            return Some((time, id, self.periodic[i].payload.clone()));
+            return Some((time, id, Some(self.periodic[i].payload.clone())));
         }
         let entry = self.heap.pop()?;
         debug_assert!(entry.time >= self.now, "event queue went backwards");
         self.now = entry.time;
-        Some((entry.time, EventId(entry.seq), entry.payload))
+        Some((entry.time, EventId(entry.seq), Some(entry.payload)))
     }
 
-    /// Timestamp of the next pending event, if any.
+    /// Pop a run of marks in one call: while the earliest pending
+    /// occurrence is a mark at or before `until`, pop it, at most `max`
+    /// times. Each pop moves `now` exactly as [`pop`](Self::pop) would;
+    /// the run stops before any live occurrence, heap event or periodic
+    /// occurrence with a smaller `(time, seq)`. Returns the number of
+    /// marks popped.
+    pub fn skip_marks(&mut self, until: SimTime, max: u64) -> u64 {
+        // Popping marks never touches the heap or the periodic slots, so
+        // their earliest key bounds the whole run.
+        let other = self.heap_key().min(self.periodic_key());
+        let mut n = 0;
+        while n < max {
+            let Some((i, key)) = self.timer_order.min() else {
+                break;
+            };
+            if key >= other || key.0 > until || self.timers[i].live == Some(key.1) {
+                break;
+            }
+            self.pop_timer(i);
+            n += 1;
+        }
+        n
+    }
+
+    /// True iff the earliest pending occurrence is a timer's mark.
+    #[inline]
+    pub fn mark_is_next(&self) -> bool {
+        self.timer_order.min().is_some_and(|(i, key)| {
+            self.timers[i].live != Some(key.1) && key < self.heap_key().min(self.periodic_key())
+        })
+    }
+
+    /// Timestamp of the next pending occurrence, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let heap_t = self.heap.peek().map(|e| e.time);
+        let t = self.peek_heap_time();
         let per_t = self.periodic_order.peek().map(|&Reverse((t, _, _))| t);
-        match (heap_t, per_t) {
+        match (t, per_t) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (t, None) | (None, t) => t,
         }
     }
 
-    /// Timestamp of the next pending *heap* event, ignoring periodic
-    /// slots. Fast-forward uses this as a batching horizon: everything in
-    /// the heap is a real state change, while periodic occurrences below
-    /// this time may be provably inert.
+    /// Timestamp of the next pending occurrence that is not a periodic
+    /// slot's: heap events and timer occurrences, marks included.
+    /// Fast-forward uses this as a batching horizon: periodic
+    /// occurrences below this time may be provably inert.
     pub fn peek_heap_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        let heap_t = self.heap.peek().map(|e| e.time);
+        let timer_t = self.timer_order.min().map(|(_, (t, _))| t);
+        match (heap_t, timer_t) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (t, None) | (None, t) => t,
+        }
     }
 
     /// Earliest pending periodic occurrence, ignoring the heap. Lets
@@ -417,10 +676,17 @@ impl<E> EventQueue<E> {
     }
 
     /// Drop all pending events (used when a run terminates early).
+    /// Periodic slots are removed; timers stay, unarmed and empty.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.periodic.clear();
         self.periodic_order.clear();
+        for (i, timer) in self.timers.iter_mut().enumerate() {
+            timer.pending.clear();
+            timer.live = None;
+            self.timer_order.set(i, NO_KEY);
+        }
+        self.timer_pending = 0;
     }
 }
 
@@ -435,7 +701,7 @@ mod tests {
         q.schedule(SimTime::from_nanos(30), "c");
         q.schedule(SimTime::from_nanos(10), "a");
         q.schedule(SimTime::from_nanos(20), "b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().and_then(|(_, _, p)| p)).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
 
@@ -446,7 +712,7 @@ mod tests {
         for i in 0..100 {
             q.schedule(t, i);
         }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().and_then(|(_, _, p)| p)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
@@ -476,12 +742,12 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(10), 1u32);
         let (t, _, v) = q.pop().unwrap();
-        assert_eq!((t.as_nanos(), v), (10, 1));
+        assert_eq!((t.as_nanos(), v), (10, Some(1)));
         // Schedule relative to the new now.
         q.schedule(t + SimDuration::from_nanos(5), 2u32);
         q.schedule(t + SimDuration::from_nanos(3), 3u32);
-        assert_eq!(q.pop().unwrap().2, 3);
-        assert_eq!(q.pop().unwrap().2, 2);
+        assert_eq!(q.pop().unwrap().2, Some(3));
+        assert_eq!(q.pop().unwrap().2, Some(2));
         assert!(q.pop().is_none());
     }
 
@@ -525,12 +791,13 @@ mod tests {
             let f = fast.pop().unwrap();
             let r = refq.pop().unwrap();
             assert_eq!(f, r, "divergence at step {step}");
+            let what = f.2.expect("no timers, no marks");
             // Reference handler: re-arm as the last seq allocation.
-            if f.2.starts_with('t') {
-                refq.schedule(r.0 + period, r.2);
+            if what.starts_with('t') {
+                refq.schedule(r.0 + period, what);
             }
             // Ad-hoc traffic scheduled mid-handler on both queues.
-            if f.2 == "a" {
+            if what == "a" {
                 fast.schedule(f.0 + SimDuration::from_nanos(7), "d");
                 refq.schedule(r.0 + SimDuration::from_nanos(7), "d");
             }
@@ -590,7 +857,7 @@ mod tests {
         // precedes the heap event at 47 and the re-armed t0 at 50.
         let order: Vec<_> = (0..4).map(|_| q.pop().unwrap()).collect();
         let times: Vec<_> = order.iter().map(|e| e.0.as_nanos()).collect();
-        let what: Vec<_> = order.iter().map(|e| e.2).collect();
+        let what: Vec<_> = order.iter().map(|e| e.2.unwrap()).collect();
         assert_eq!(times, vec![45, 47, 50, 55]);
         assert_eq!(what, vec!["t1", "stop", "t0", "t1"]);
     }

@@ -8,7 +8,8 @@
 //!   [`SimDuration`]) with saturating/checked arithmetic.
 //! * [`event`] — a deterministic event queue ([`event::EventQueue`]):
 //!   ties at equal timestamps break by insertion sequence, so a run is a
-//!   total order reproducible from its seed alone.
+//!   total order reproducible from its seed alone. Periodic slots and
+//!   re-armable timers merge into the same order without heap traffic.
 //! * [`rng`] — a self-contained xoshiro256++ PRNG seeded via SplitMix64,
 //!   plus the distributions the noise and workload models need (uniform,
 //!   exponential, normal, log-normal, Pareto). No external crate: identical
@@ -30,7 +31,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, PeriodicId};
+pub use event::{EventQueue, PeriodicId, TimerId};
 pub use rng::Rng;
 pub use stats::Summary;
-pub use time::{SimDuration, SimTime};
+pub use time::{round_u64, SimDuration, SimTime};

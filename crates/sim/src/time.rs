@@ -8,6 +8,28 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+/// `x.round() as u64`, computed without a call to `f64::round`.
+///
+/// Rounds half away from zero and saturates exactly like the cast:
+/// NaN and everything below one half give 0, values from 2^64 up give
+/// `u64::MAX`. Baseline x86-64 has no rounding instruction, so
+/// `f64::round` is a library call; this is a truncating conversion and
+/// a compare. The fraction `x - trunc(x)` is exact for every finite
+/// `x`, so the result is bit-for-bit the cast's.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    /// From 2^52 up every `f64` is an integer.
+    const INTEGRAL: f64 = 4_503_599_627_370_496.0;
+    if (0.5..INTEGRAL).contains(&x) {
+        let whole = x as i64;
+        (whole + (x - whole as f64 >= 0.5) as i64) as u64
+    } else if x >= INTEGRAL {
+        x as u64
+    } else {
+        0
+    }
+}
+
 /// A point in simulated time, measured in nanoseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
@@ -94,7 +116,7 @@ impl SimDuration {
         if s <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_u64(s * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -132,14 +154,14 @@ impl SimDuration {
     #[inline]
     pub fn mul_f64(self, k: f64) -> Self {
         debug_assert!(k >= 0.0, "SimDuration::mul_f64: negative factor {k}");
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * k))
     }
 
     /// Divide by a positive float, rounding to the nearest nanosecond.
     #[inline]
     pub fn div_f64(self, k: f64) -> Self {
         debug_assert!(k > 0.0, "SimDuration::div_f64: non-positive divisor {k}");
-        SimDuration((self.0 as f64 / k).round() as u64)
+        SimDuration(round_u64(self.0 as f64 / k))
     }
 
     /// Saturating subtraction.
@@ -298,6 +320,56 @@ mod tests {
         assert_eq!(d.div_f64(2.0), SimDuration::from_millis(5));
         assert_eq!(d * 3, SimDuration::from_millis(30));
         assert_eq!(d / 2, SimDuration::from_millis(5));
+    }
+
+    #[test]
+    fn round_u64_matches_round_then_cast() {
+        let two52 = 4_503_599_627_370_496.0f64;
+        let two63 = 9_223_372_036_854_775_808.0f64;
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            1.0 - f64::EPSILON / 2.0,
+            two52 - 0.5,
+            two52 - 1.5,
+            two52,
+            two52 + 1.0,
+            two52 + 2.0,
+            two63,
+            two63 * 2.0,
+            two63 * 4.0,
+            f64::MAX,
+            f64::INFINITY,
+            -0.5,
+            -0.4,
+            -2.5,
+            -1e300,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            1e-300,
+        ];
+        for x in edges {
+            assert_eq!(round_u64(x), x.round() as u64, "x = {x:e}");
+        }
+        // Random bit patterns cover every exponent; random values near
+        // half-integers cover the rounding boundary.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..200_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let x = f64::from_bits(state);
+            assert_eq!(round_u64(x), x.round() as u64, "x = {x:e}");
+            let y = (state >> 11) as f64 / 2.0 + 0.5 * ((state & 1) as f64);
+            assert_eq!(round_u64(y), y.round() as u64, "y = {y:e}");
+            let z = (state % 10_000_000_000) as f64 * 1e-9 * 1e9;
+            assert_eq!(round_u64(z), z.round() as u64, "z = {z:e}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ proptest! {
             q.schedule(SimTime::from_nanos(t), i);
         }
         let mut last: Option<(SimTime, usize)> = None;
-        while let Some((t, _, seq)) = q.pop() {
+        while let Some((t, _, Some(seq))) = q.pop() {
             if let Some((lt, lseq)) = last {
                 prop_assert!(t >= lt);
                 if t == lt {

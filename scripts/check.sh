@@ -23,6 +23,9 @@ fi
 echo "== workspace tests =="
 cargo test --workspace -q
 
+echo "== perfbench contract tests (tiny scale; the benchmark builds against the library APIs) =="
+cargo test --manifest-path perfbench/Cargo.toml -q
+
 echo "== examples build =="
 cargo build --release --examples
 

@@ -175,6 +175,145 @@ fn fast_forward_idle_stretch_matches_reference() {
     }
 }
 
+/// What a caller can observe at a stop point.
+#[derive(Debug, PartialEq)]
+struct StopPoint {
+    now: SimTime,
+    events: u64,
+    outcome: Option<&'static str>,
+    fingerprint: u64,
+}
+
+fn stop_point(node: &Node, outcome: Option<RunOutcome>) -> StopPoint {
+    StopPoint {
+        now: node.now(),
+        events: node.events_processed(),
+        outcome: outcome.map(RunOutcome::label),
+        fingerprint: node.state_fingerprint(),
+    }
+}
+
+/// Drive a busy node through stop points off the tick grid, with
+/// `set_affinity` and `spawn` calls between slices, then finish with
+/// `run_until_exit` budgets that run out partway. Returns every stop
+/// point in order.
+fn stop_point_trace(
+    mut kc: KernelConfig,
+    hpc_class: bool,
+    mode: SchedMode,
+    fast: bool,
+    seed: u64,
+) -> Vec<StopPoint> {
+    kc.fast_event_loop = fast;
+    let mut builder = NodeBuilder::new(Topology::power6_js22())
+        .with_config(kc)
+        .with_noise(NoiseProfile::standard(8))
+        .with_seed(seed);
+    if hpc_class {
+        builder = builder.with_hpc_class(Box::new(HplClass::new()));
+    }
+    let mut node = builder.build();
+    node.run_for(SimDuration::from_micros(12_345));
+    let long_job = JobSpec::new(
+        8,
+        JobSpec::repeat(
+            24,
+            &[
+                MpiOp::Compute {
+                    mean: SimDuration::from_millis(4),
+                },
+                MpiOp::Barrier,
+            ],
+        ),
+    );
+    let handle = launch(&mut node, &long_job, mode);
+    let mut trace = vec![stop_point(&node, None)];
+    let compute = |ms: u64| {
+        TaskSpec::new(
+            "probe",
+            Policy::Normal { nice: 0 },
+            hpl::kernel::program::ScriptProgram::boxed(
+                "probe",
+                vec![Step::Compute(SimDuration::from_millis(ms))],
+            ),
+        )
+    };
+    let all = node.topo.all_cpus();
+    for slice in 0..60u64 {
+        // Slices of 0.1–1.9 ms plus an odd nanosecond count: never a
+        // multiple of the tick period, so stops land between ticks,
+        // often with a superseded completion estimate next in line.
+        node.run_for(SimDuration::from_nanos(
+            100_003 + (slice * 7_919_113) % 1_800_000,
+        ));
+        trace.push(stop_point(&node, None));
+        // Calls that leave a reschedule and a re-estimate pending for
+        // the next run to drain at its first popped occurrence: push a
+        // running rank off its CPU, or fork a short compute task.
+        let cpu = CpuId((slice % 8) as u32);
+        if slice % 4 == 3 {
+            node.spawn(compute(1 + slice % 3));
+        } else if let Some(pid) = node.current(cpu) {
+            if node.tasks.get(pid).name.starts_with("rank") {
+                let mut mask = all;
+                mask.clear(cpu);
+                node.set_affinity(pid, mask);
+            }
+        }
+    }
+    // A budget counts stepped events, and the fast loop's batched
+    // quiescent ticks are exempt from it, so the two loops only spend a
+    // budget alike while no tick is quiescent. One CPU hog pinned to
+    // every CPU keeps it so (and the spawns leave flags pending for the
+    // first run to drain). Budgets of a few hundred events then run out
+    // mid-run, at a mark as often as at a live event.
+    for cpu in 0..node.topo.total_cpus() {
+        node.spawn(compute(2_000).with_affinity(CpuMask::from_cpus([CpuId(cpu)])));
+    }
+    for round in 0u64.. {
+        let outcome = node.run_until_exit(handle.perf_pid, 200 + (round * 37) % 300);
+        trace.push(stop_point(&node, Some(outcome)));
+        if outcome != RunOutcome::BudgetExhausted {
+            break;
+        }
+        assert!(round < 100_000, "job never finished");
+    }
+    trace
+}
+
+#[test]
+fn stop_points_and_budgets_match_reference() {
+    // Fast-loop completions are per-CPU timers whose superseded
+    // estimates pop as marks, consumed in bulk between real events.
+    // Every stop point a caller can see — the clock after `run_for`,
+    // the event count, the budget outcome — must match the reference
+    // loop, which schedules every estimate in the heap and ignores the
+    // superseded ones as they pop.
+    let cases: [(&str, KernelConfig, bool, SchedMode); 2] = [
+        (
+            "standard-linux",
+            KernelConfig::default(),
+            false,
+            SchedMode::Cfs,
+        ),
+        ("hpl", KernelConfig::hpl(), true, SchedMode::Hpc),
+    ];
+    for (name, kc, hpc, mode) in cases {
+        for seed in [5u64, 77] {
+            let fast = stop_point_trace(kc.clone(), hpc, mode, true, seed);
+            let reference = stop_point_trace(kc.clone(), hpc, mode, false, seed);
+            for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
+                assert_eq!(f, r, "{name} seed {seed}: stop point {i} diverges");
+            }
+            assert_eq!(
+                fast.len(),
+                reference.len(),
+                "{name} seed {seed}: stop count"
+            );
+        }
+    }
+}
+
 fn cluster_run(fast: bool, seed: u64) -> (u64, u64) {
     let nodes = 2u32;
     let job = JobSpec::new(
