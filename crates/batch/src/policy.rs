@@ -71,7 +71,7 @@ pub struct QueuedJob {
 pub const AUDIT_LOG_CAP: usize = 4096;
 
 /// A bounded decision log: keeps the newest `cap` entries, counts them
-/// all. Policies push every decision through [`AuditLog::push`], which
+/// all. Policies push every decision through `AuditLog::push`, which
 /// returns the entry back so violation counters can be updated without
 /// borrowing the ring.
 #[derive(Debug, Clone)]

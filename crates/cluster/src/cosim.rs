@@ -43,6 +43,7 @@ use hpl_kernel::observe::ChromeTraceSink;
 use hpl_kernel::{NetMsg, Node, ObserverId, Pid, RunOutcome, TaskState};
 use hpl_mpi::{find_mpiexec, spawn_job_tree_with, JobSpec, RankWrap, SchedMode};
 use hpl_sim::time::{SimDuration, SimTime};
+use hpl_sim::MinTree;
 use std::fmt::Write as _;
 
 /// Host-side execution policy of the lockstep driver.
@@ -381,7 +382,9 @@ impl ClusterBuilder {
             net,
             jobs: Vec::new(),
             live: vec![Vec::new(); n],
-            next_at: vec![NEVER; n],
+            calendar: MinTree::with_len(n, NEVER),
+            events_seen: vec![0; n],
+            events_total: 0,
             stale: NodeSet::full(n),
             unrouted: NodeSet::full(n),
             window_hook: None,
@@ -411,17 +414,26 @@ pub struct Cluster {
     /// [`ClusterJobHandle::job_id`]).
     jobs: Vec<ActiveJob>,
     /// Live-job index: `live[n]` lists, in launch order, the jobs that
-    /// may still occupy node `n`. Every job occupying `n` is listed;
-    /// entries that stopped occupying it (tree exited, job failed) are
-    /// pruned at the next launch on `n`, and the list is emptied when
-    /// `n` crashes. Occupancy counts and message routing read it instead
-    /// of walking every job ever launched.
-    live: Vec<Vec<usize>>,
-    /// Cached next-event time per node ([`NEVER`] for an empty queue or
-    /// a down node). Exact for every node not in `stale`.
-    next_at: Vec<SimTime>,
-    /// Nodes whose `next_at` entry must be re-read before the next
-    /// window: stepped, posted a delivery, or touched from outside.
+    /// may still occupy node `n`, each as `(job, j)` with `j` the
+    /// job-relative index of `n` in its placement. Every job occupying
+    /// `n` is listed; entries that stopped occupying it (tree exited,
+    /// job failed) are pruned at the next launch on `n`, and the list is
+    /// emptied when `n` crashes. Occupancy counts and message routing
+    /// read it instead of walking every job ever launched.
+    live: Vec<Vec<(usize, usize)>>,
+    /// Window calendar: a min tree over the cached next-event time of
+    /// every node ([`NEVER`] for an empty queue or a down node). Its
+    /// root opens the next window and its leaves below the window end
+    /// are the active set. Exact for every node not in `stale`.
+    calendar: MinTree<SimTime>,
+    /// Each node's event count as last read, and their sum. Exact for
+    /// every node not in `stale`, so the cluster-wide count costs the
+    /// stale nodes, not N.
+    events_seen: Vec<u64>,
+    events_total: u64,
+    /// Nodes whose calendar leaf and event count must be re-read before
+    /// the next window: stepped, posted a delivery, or touched from
+    /// outside.
     stale: NodeSet,
     /// Nodes that may hold captured outbound messages: stepped, or
     /// touched from outside, since the last routing pass.
@@ -520,9 +532,16 @@ impl Cluster {
         &self.net
     }
 
-    /// Total events dispatched across all nodes.
+    /// Total events processed across all nodes. Reads the queues of
+    /// the stale nodes only — every other node's count is cached — so
+    /// a run loop can check its event budget after every window without
+    /// visiting every node. [`Self::check_indexes`] holds it equal to
+    /// the sum over every node.
     pub fn events_processed(&self) -> u64 {
-        self.nodes.iter().map(Node::events_processed).sum()
+        let list = &self.stale.list;
+        let seen: u64 = list.iter().map(|&i| self.events_seen[i]).sum();
+        let now: u64 = list.iter().map(|&i| self.nodes[i].events_processed()).sum();
+        self.events_total - seen + now
     }
 
     /// Earliest pending event time across the cluster, `None` when every
@@ -700,11 +719,11 @@ impl Cluster {
         let mut launched_at = Vec::with_capacity(placement.len());
         for (j, &n) in placement.iter().enumerate() {
             self.prune_live(n);
-            self.live[n].push(job_id);
+            self.live[n].push((job_id, j));
             self.touch(n);
             let node = &mut self.nodes[n];
-            for chan in job.cross_node_channels(j as u32) {
-                node.register_net_channel(chan);
+            if let Some(block) = job.net_block(j as u32) {
+                node.register_net_block(block);
             }
             launched_at.push(node.now());
             let root = spawn_job_tree_with(node, job, mode, j as u32, wrap);
@@ -769,10 +788,13 @@ impl Cluster {
     /// `route_outbound`, which is what keeps the result byte-identical
     /// to the serial path.
     ///
-    /// `t_next` and the active set come from one pass over the cached
-    /// per-node next-event array; only entries of nodes that changed
-    /// since the last window (stepped, delivered to, or touched from
-    /// outside) are re-read from their queues first.
+    /// `t_next` and the active set come from the window calendar, a min
+    /// tree over the cached per-node next-event times: `t_next` is its
+    /// root and the active set a descent into the subtrees whose minimum
+    /// lies inside the window, so a window costs O(active · log N), not
+    /// O(N). Only the leaves of nodes that changed since the last window
+    /// (stepped, delivered to, or touched from outside) are re-read from
+    /// their queues first.
     ///
     /// Fault events from the plan are applied here, at window
     /// boundaries: every event due at or before the upcoming window's
@@ -826,43 +848,31 @@ impl Cluster {
         true
     }
 
-    /// Re-read the cached next-event time of every stale node.
+    /// Re-read the calendar leaf and event count of every stale node.
     fn refresh_next_events(&mut self) {
         for &i in &self.stale.list {
-            self.next_at[i] = if self.down[i] {
+            let node = &self.nodes[i];
+            let t = if self.down[i] {
                 NEVER
             } else {
-                self.nodes[i].next_event_time().unwrap_or(NEVER)
+                node.next_event_time().unwrap_or(NEVER)
             };
+            self.calendar.set(i, t);
+            let events = node.events_processed();
+            self.events_total = self.events_total - self.events_seen[i] + events;
+            self.events_seen[i] = events;
         }
         self.stale.clear();
     }
 
-    /// The next window, from one pass over the cached next-event array,
-    /// leaving its active nodes in `self.active` in index order. Nodes
-    /// are collected against the window of the minimum seen so far (an
-    /// upper bound on the final window, since the minimum only falls),
-    /// then trimmed once to the final window. `None` when every queue is
-    /// drained.
+    /// The next window, opened at the calendar's root, leaving its
+    /// active nodes in `self.active` in index order. `None` when every
+    /// queue is drained.
     fn scan_window(&mut self) -> Option<Window> {
-        let lookahead = self.net.lookahead();
-        let next_at = &self.next_at;
-        let active = &mut self.active;
-        active.clear();
-        let mut window: Option<Window> = None;
-        for (i, &t) in next_at.iter().enumerate() {
-            if t == NEVER {
-                continue;
-            }
-            match window {
-                Some(w) if t >= w.end => continue,
-                Some(w) if t >= w.start => {}
-                _ => window = Some(Window::conservative(t, lookahead)),
-            }
-            active.push(i);
-        }
-        let w = window?;
-        active.retain(|&i| next_at[i] < w.end);
+        let (_, start) = self.calendar.min()?;
+        let w = Window::conservative(start, self.net.lookahead());
+        self.active.clear();
+        self.calendar.collect_below(w.end, &mut self.active);
         debug_assert_eq!(Some(w.start), self.next_event_time());
         Some(w)
     }
@@ -996,7 +1006,7 @@ impl Cluster {
             for &m in buf.iter() {
                 let aj = self.live[src]
                     .iter()
-                    .map(|&ji| &self.jobs[ji])
+                    .map(|&(ji, _)| &self.jobs[ji])
                     .find(|aj| aj.job.chan_dst_node(m.chan).is_some())
                     .expect("outbound message on a channel no job on this node owns");
                 // A failed job's runtime is torn down: in-flight traffic
@@ -1128,17 +1138,25 @@ impl Cluster {
     /// failed, and its launcher tree there is alive on the incarnation
     /// that spawned it.
     fn occupies(&self, aj: &ActiveJob, n: usize) -> bool {
+        aj.placement
+            .iter()
+            .position(|&p| p == n)
+            .is_some_and(|j| self.occupies_at(aj, j))
+    }
+
+    /// [`Self::occupies`] for the node `aj` places its job-relative node
+    /// `j` on, without searching the placement.
+    fn occupies_at(&self, aj: &ActiveJob, j: usize) -> bool {
+        let n = aj.placement[j];
         !aj.failed
-            && aj.placement.iter().position(|&p| p == n).is_some_and(|j| {
-                aj.incarnations[j] == self.incarnation[n]
-                    && self.nodes[n].tasks.get(aj.perf_pids[j]).state != TaskState::Dead
-            })
+            && aj.incarnations[j] == self.incarnation[n]
+            && self.nodes[n].tasks.get(aj.perf_pids[j]).state != TaskState::Dead
     }
 
     /// Drop the jobs that no longer occupy node `n` from its live list.
     fn prune_live(&mut self, n: usize) {
         let mut live = std::mem::take(&mut self.live[n]);
-        live.retain(|&ji| self.occupies(&self.jobs[ji], n));
+        live.retain(|&(ji, j)| self.occupies_at(&self.jobs[ji], j));
         self.live[n] = live;
     }
 
@@ -1151,7 +1169,7 @@ impl Cluster {
     pub fn active_jobs_on(&self, n: usize) -> usize {
         let count = self.live[n]
             .iter()
-            .filter(|&&ji| self.occupies(&self.jobs[ji], n))
+            .filter(|&&(ji, j)| self.occupies_at(&self.jobs[ji], j))
             .count();
         debug_assert_eq!(count, self.active_jobs_on_scan(n));
         count
@@ -1165,12 +1183,32 @@ impl Cluster {
 
     /// Check the window loop's incremental state against the reference
     /// scans: the live-job index against [`Self::active_jobs_on_scan`],
-    /// every cached next-event time not due for a refresh against the
-    /// node's queue, and every up node holding captured messages
-    /// against the set the next routing pass drains. Returns the first
-    /// mismatch. Read-only, so checking never changes a run; the
-    /// torture harness calls it after every window.
+    /// every cached next-event time and event count not due for a
+    /// refresh against the node, [`Self::events_processed`] against the
+    /// sum over every node, the window calendar's tree (every inner node
+    /// the min of its children, so the root is the least leaf) and the
+    /// active set it yields against a scan of its leaves, and every up
+    /// node holding captured messages against the set the next routing
+    /// pass drains. Returns the first mismatch. Read-only, so checking
+    /// never changes a run; the torture harness calls it after every
+    /// window.
     pub fn check_indexes(&self) -> Result<(), String> {
+        self.calendar
+            .check()
+            .map_err(|e| format!("window calendar: {e}"))?;
+        if let Some((_, start)) = self.calendar.min() {
+            let end = Window::conservative(start, self.net.lookahead()).end;
+            let mut active = Vec::new();
+            self.calendar.collect_below(end, &mut active);
+            let scan: Vec<usize> = (0..self.nodes.len())
+                .filter(|&n| self.calendar.get(n) < end)
+                .collect();
+            if active != scan {
+                return Err(format!(
+                    "window calendar: active set {active:?}, scan of its leaves {scan:?}"
+                ));
+            }
+        }
         for n in 0..self.nodes.len() {
             let (index, scan) = (self.active_jobs_on(n), self.active_jobs_on_scan(n));
             if index != scan {
@@ -1179,7 +1217,13 @@ impl Cluster {
                 ));
             }
             if !self.stale.contains(n) {
-                let cached = Some(self.next_at[n]).filter(|&t| t != NEVER);
+                let (seen, events) = (self.events_seen[n], self.nodes[n].events_processed());
+                if seen != events {
+                    return Err(format!(
+                        "node {n}: cached event count {seen}, node says {events}"
+                    ));
+                }
+                let cached = Some(self.calendar.get(n)).filter(|&t| t != NEVER);
                 let queue = if self.down[n] {
                     None
                 } else {
@@ -1196,6 +1240,15 @@ impl Cluster {
                     "node {n} holds outbound messages the next routing pass skips"
                 ));
             }
+        }
+        let (cached, sum) = (
+            self.events_processed(),
+            self.nodes.iter().map(Node::events_processed).sum::<u64>(),
+        );
+        if cached != sum {
+            return Err(format!(
+                "cluster event count {cached}, sum over nodes {sum}"
+            ));
         }
         Ok(())
     }

@@ -20,7 +20,7 @@
 //! one core are independent except for eviction-by-running, which keeps
 //! the bookkeeping O(tasks-touched-this-core) and is sufficient to
 //! produce the performance asymmetries the paper measures. A core holds
-//! a handful of footprints (pruned below [`PRUNE_THRESHOLD`]), so they
+//! a handful of footprints (pruned below `PRUNE_THRESHOLD`), so they
 //! live in a small vector searched linearly rather than a hash map;
 //! every update touches one entry on its own, so the entry order never
 //! affects a result.

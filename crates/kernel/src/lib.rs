@@ -80,5 +80,5 @@ pub use observe::{
     PreemptVerdict, RingSink, SchedEvent, SchedObserver, TickOutcome,
 };
 pub use program::{FnProgram, ProgCtx, Program, Step, TaskSpec};
-pub use sync::{BarrierId, ChanId};
+pub use sync::{BarrierId, ChanId, NetBlock};
 pub use task::{Pid, Policy, Task, TaskState, TaskTable};

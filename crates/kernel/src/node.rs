@@ -32,7 +32,7 @@ use crate::observe::{
 };
 use crate::program::{ProgCtx, Step, TaskSpec};
 use crate::rt::RtClass;
-use crate::sync::{ChanId, SyncState, WaitOutcome, Waiting};
+use crate::sync::{ChanId, NetBlock, SyncState, WaitOutcome, Waiting};
 use crate::task::{BlockReason, Pid, SpinTarget, Task, TaskState, TaskTable};
 use crate::trace::TraceBuffer;
 use hpl_perf::{HwEvent, PerCpuCounters, RunOutcome, SwEvent};
@@ -73,7 +73,7 @@ enum Ev {
 }
 
 /// A captured outbound cross-node message: a [`Step::NetSend`] executed
-/// on a channel registered via [`Node::register_net_channel`]. The
+/// on a channel in a block registered via [`Node::register_net_block`]. The
 /// cluster driver collects these with [`Node::take_outbound`], runs them
 /// through its interconnect model, and posts the resulting delivery on
 /// the destination node with [`Node::post_net_delivery`].
@@ -201,7 +201,7 @@ impl NodeBuilder {
             ff_horizons: vec![SimTime::ZERO; ncpus],
             ff_fired: vec![0; ncpus],
             ff_start: vec![SimTime::ZERO; ncpus],
-            net_external: std::collections::HashSet::new(),
+            net_external: Vec::new(),
             outbound: Vec::new(),
             gang_refs: std::collections::BTreeMap::new(),
             gang_active: None,
@@ -336,10 +336,11 @@ pub struct Node {
     ff_horizons: Vec<SimTime>,
     ff_fired: Vec<u64>,
     ff_start: Vec<SimTime>,
-    /// Channels registered as network endpoints: a [`Step::NetSend`] on
-    /// one of these is captured into `outbound` instead of notifying
-    /// locally.
-    net_external: std::collections::HashSet<ChanId>,
+    /// Blocks of channels registered as network endpoints, one per
+    /// multi-node job ever launched here: a [`Step::NetSend`] on a
+    /// channel in one of these is captured into `outbound` instead of
+    /// notifying locally. Searched linearly; blocks never overlap.
+    net_external: Vec<NetBlock>,
     /// Captured outbound messages awaiting cluster routing.
     outbound: Vec<NetMsg>,
     /// Live gang membership (gang id → enrolled live tasks). `BTreeMap`
@@ -1271,7 +1272,7 @@ impl Node {
                     tokens,
                     bytes,
                 } => {
-                    if self.net_external.contains(&chan) {
+                    if self.net_external.iter().any(|b| b.contains(chan)) {
                         self.outbound.push(NetMsg {
                             at: self.now(),
                             chan,
@@ -2088,14 +2089,22 @@ impl Node {
         }
     }
 
-    /// Register `chan` as a network endpoint: from now on a
-    /// [`Step::NetSend`] targeting it is captured into the outbound
-    /// queue (for the cluster driver) instead of notifying locally.
-    /// Registration is append-only for a node's lifetime — the channel
-    /// id namespace is owned by the job layout, which never reuses a
-    /// cross-node id for a local channel.
-    pub fn register_net_channel(&mut self, chan: ChanId) {
-        self.net_external.insert(chan);
+    /// Register every channel in `block` as a network endpoint: from now
+    /// on a [`Step::NetSend`] targeting one of them is captured into the
+    /// outbound queue (for the cluster driver) instead of notifying
+    /// locally. Registration is append-only for a node's lifetime — the
+    /// channel id namespace is owned by the job layout, which never
+    /// reuses a cross-node id for a local channel, and blocks of jobs
+    /// sharing a node must not overlap.
+    pub fn register_net_block(&mut self, block: NetBlock) {
+        debug_assert!(
+            self.net_external.iter().all(|b| {
+                let (a, c) = (b.span(), block.span());
+                a.end <= c.start || c.end <= a.start
+            }),
+            "net blocks overlap"
+        );
+        self.net_external.push(block);
     }
 
     /// Drain the captured outbound messages (cluster driver API). Order

@@ -42,7 +42,7 @@ pub enum Step {
     },
     /// Deposit tokens on a channel whose consumer may live on another
     /// node. If the channel is registered as a network endpoint
-    /// ([`crate::Node::register_net_channel`]) the message is captured
+    /// ([`crate::Node::register_net_block`]) the message is captured
     /// into the node's outbound queue — `bytes` sizes it for the
     /// cluster interconnect's cost model — and a cluster driver routes
     /// it to the destination node, where the delivery event deposits

@@ -19,10 +19,16 @@ use std::collections::VecDeque;
 
 const RT_PRIOS: usize = 100;
 
-/// Per-CPU RT runqueue: one FIFO per priority level.
+/// Per-CPU RT runqueue: one FIFO per priority level, plus a bitmap of
+/// the non-empty levels (Linux's `rt_prio_array`), so the highest
+/// queued priority is one leading-zeros count instead of a walk over
+/// every level. Queues change only through the methods below, which
+/// keep the bitmap in step.
 #[derive(Debug)]
 struct RtRq {
     queues: Vec<VecDeque<Pid>>,
+    /// Bit `p` set iff `queues[p]` is non-empty.
+    bitmap: u128,
     nr_queued: u32,
 }
 
@@ -30,17 +36,79 @@ impl Default for RtRq {
     fn default() -> Self {
         RtRq {
             queues: (0..RT_PRIOS).map(|_| VecDeque::new()).collect(),
+            bitmap: 0,
             nr_queued: 0,
         }
     }
 }
 
 impl RtRq {
+    /// Highest priority with a queued task.
     fn highest(&self) -> Option<u8> {
+        let p = (self.bitmap != 0).then(|| (127 - self.bitmap.leading_zeros()) as u8);
+        debug_assert_eq!(p, self.highest_scan());
+        p
+    }
+
+    /// Reference for [`Self::highest`]: walk every level top-down.
+    fn highest_scan(&self) -> Option<u8> {
         (0..RT_PRIOS)
             .rev()
             .find(|&p| !self.queues[p].is_empty())
             .map(|p| p as u8)
+    }
+
+    /// Queued pids, highest priority first, FIFO within a level.
+    fn iter(&self) -> impl Iterator<Item = Pid> + '_ {
+        let mut levels = self.bitmap;
+        std::iter::from_fn(move || {
+            (levels != 0).then(|| {
+                let p = 127 - levels.leading_zeros() as usize;
+                levels &= !(1 << p);
+                p
+            })
+        })
+        .flat_map(|p| self.queues[p].iter().copied())
+    }
+
+    fn push_back(&mut self, prio: usize, pid: Pid) {
+        self.queues[prio].push_back(pid);
+        self.bitmap |= 1 << prio;
+        self.nr_queued += 1;
+    }
+
+    fn push_front(&mut self, prio: usize, pid: Pid) {
+        self.queues[prio].push_front(pid);
+        self.bitmap |= 1 << prio;
+        self.nr_queued += 1;
+    }
+
+    /// Remove `pid` from level `prio`, where it must be queued.
+    fn remove(&mut self, prio: usize, pid: Pid) {
+        let q = &mut self.queues[prio];
+        let before = q.len();
+        q.retain(|&p| p != pid);
+        debug_assert_eq!(q.len() + 1, before, "{pid} not queued");
+        self.settle(prio);
+        self.nr_queued -= 1;
+    }
+
+    /// Take the head of the highest non-empty level.
+    fn pop_highest(&mut self) -> Option<Pid> {
+        let prio = self.highest()? as usize;
+        let pid = self.queues[prio]
+            .pop_front()
+            .expect("highest() said non-empty");
+        self.settle(prio);
+        self.nr_queued -= 1;
+        Some(pid)
+    }
+
+    /// Clear level `prio`'s bit if its queue emptied.
+    fn settle(&mut self, prio: usize) {
+        if self.queues[prio].is_empty() {
+            self.bitmap &= !(1 << prio);
+        }
     }
 }
 
@@ -96,27 +164,16 @@ impl SchedClass for RtClass {
         let prio = Self::prio_of(task) as usize;
         let rq = self.rq_mut(cpu);
         debug_assert!(!rq.queues[prio].contains(&task.pid));
-        rq.queues[prio].push_back(task.pid);
-        rq.nr_queued += 1;
+        rq.push_back(prio, task.pid);
     }
 
     fn dequeue(&mut self, cpu: CpuId, task: &mut Task, _ctx: &SchedCtx<'_>) {
         let prio = Self::prio_of(task) as usize;
-        let rq = self.rq_mut(cpu);
-        let before = rq.queues[prio].len();
-        rq.queues[prio].retain(|&p| p != task.pid);
-        debug_assert_eq!(rq.queues[prio].len() + 1, before, "{} not queued", task.pid);
-        rq.nr_queued -= 1;
+        self.rq_mut(cpu).remove(prio, task.pid);
     }
 
     fn pick_next(&mut self, cpu: CpuId, _tasks: &TaskTable) -> Option<Pid> {
-        let rq = self.rq_mut(cpu);
-        let prio = rq.highest()? as usize;
-        let pid = rq.queues[prio]
-            .pop_front()
-            .expect("highest() said non-empty");
-        rq.nr_queued -= 1;
-        Some(pid)
+        self.rq_mut(cpu).pop_highest()
     }
 
     fn put_prev(&mut self, cpu: CpuId, task: &mut Task, ctx: &SchedCtx<'_>) {
@@ -126,12 +183,11 @@ impl SchedClass for RtClass {
         if expired {
             // RR slice expiry: back of the line, fresh slice.
             task.time_slice = ctx.cfg.rt_rr_timeslice;
-            rq.queues[prio].push_back(task.pid);
+            rq.push_back(prio, task.pid);
         } else {
             // Preempted: stays at the head of its priority level.
-            rq.queues[prio].push_front(task.pid);
+            rq.push_front(prio, task.pid);
         }
-        rq.nr_queued += 1;
     }
 
     fn update_curr(&mut self, _cpu: CpuId, task: &mut Task, ran: SimDuration) {
@@ -166,11 +222,7 @@ impl SchedClass for RtClass {
     }
 
     fn queued_pids(&self, cpu: CpuId) -> Vec<Pid> {
-        let rq = self.rq(cpu);
-        (0..RT_PRIOS)
-            .rev()
-            .flat_map(|p| rq.queues[p].iter().copied())
-            .collect()
+        self.rq(cpu).iter().collect()
     }
 
     fn select_cpu_fork(
@@ -270,10 +322,9 @@ impl SchedClass for RtClass {
             if from == cpu {
                 continue;
             }
-            let rq = self.rq(from);
-            let head = (0..RT_PRIOS)
-                .rev()
-                .flat_map(|p| rq.queues[p].iter().copied())
+            let head = self
+                .rq(from)
+                .iter()
                 .map(|pid| tasks.get(pid))
                 .find(|t| t.can_run_on(cpu));
             if let Some(t) = head {
@@ -613,5 +664,65 @@ mod tests {
         rt.enqueue(CpuId(0), tt.get_mut(hi), &ctx, true);
         assert_eq!(rt.queued_pids(CpuId(0)), vec![hi, lo]);
         assert_eq!(rt.nr_queued(CpuId(0)), 2);
+    }
+
+    /// The priority bitmap against a plain array of levels searched by
+    /// a linear scan, over a seeded random mix of enqueues at the back
+    /// and front, dequeues of arbitrary queued pids, and picks.
+    #[test]
+    fn bitmap_matches_linear_scan() {
+        for seed in 0..40 {
+            let mut rng = hpl_sim::Rng::new(seed);
+            let mut rq = RtRq::default();
+            let mut reference: Vec<VecDeque<Pid>> = vec![VecDeque::new(); RT_PRIOS];
+            let mut queued: Vec<(usize, Pid)> = Vec::new();
+            let mut next_pid = 0u32;
+            // A few levels, the edges included, so levels fill and empty.
+            let levels = [0, 1, 50, 63, 64, 98, 99];
+            for op in 0..600 {
+                let ctx = format!("seed {seed} op {op}");
+                match rng.below(10) {
+                    0..=3 => {
+                        let prio = levels[rng.below(levels.len() as u64) as usize];
+                        let pid = Pid(next_pid);
+                        next_pid += 1;
+                        if rng.below(2) == 0 {
+                            rq.push_back(prio, pid);
+                            reference[prio].push_back(pid);
+                        } else {
+                            rq.push_front(prio, pid);
+                            reference[prio].push_front(pid);
+                        }
+                        queued.push((prio, pid));
+                    }
+                    4..=6 if !queued.is_empty() => {
+                        let (prio, pid) =
+                            queued.swap_remove(rng.below(queued.len() as u64) as usize);
+                        rq.remove(prio, pid);
+                        reference[prio].retain(|&p| p != pid);
+                    }
+                    _ => {
+                        let want = (0..RT_PRIOS)
+                            .rev()
+                            .find(|&p| !reference[p].is_empty())
+                            .and_then(|p| reference[p].pop_front());
+                        assert_eq!(rq.pop_highest(), want, "{ctx}: pick");
+                        queued.retain(|&(_, p)| Some(p) != want);
+                    }
+                }
+                let scan = (0..RT_PRIOS)
+                    .rev()
+                    .find(|&p| !reference[p].is_empty())
+                    .map(|p| p as u8);
+                assert_eq!(rq.highest(), scan, "{ctx}: highest");
+                assert_eq!(rq.highest_scan(), scan, "{ctx}: highest_scan");
+                let order: Vec<Pid> = (0..RT_PRIOS)
+                    .rev()
+                    .flat_map(|p| reference[p].iter().copied())
+                    .collect();
+                assert_eq!(rq.iter().collect::<Vec<_>>(), order, "{ctx}: order");
+                assert_eq!(rq.nr_queued as usize, queued.len(), "{ctx}: nr_queued");
+            }
+        }
     }
 }

@@ -27,6 +27,60 @@ pub struct ChanId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BarrierId(pub u64);
 
+/// A block of network-endpoint channels: the cross-node channels one
+/// job sends on from one node.
+///
+/// A job lays its pairwise channels out as a `width × width` grid
+/// starting at `first` (`first + src·width + dst` carries `src → dst`).
+/// The ranks on one node are a contiguous run, `local`; the channels
+/// that node sends across the network are the grid's `local` rows minus
+/// its `local` columns (a receiver on the same node is reached through
+/// shared memory). Registering the block costs O(1) per node and job,
+/// where listing its channels would cost O(ranks on the node × ranks).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NetBlock {
+    /// Id of the grid's first channel (`0 → 0`).
+    first: u64,
+    /// Grid width: the job's rank count.
+    width: u64,
+    /// Ranks on the node: the block's sender rows, and the receiver
+    /// columns it excludes.
+    local: std::ops::Range<u64>,
+}
+
+impl NetBlock {
+    /// The block of a `width × width` channel grid starting at id
+    /// `first`, for the node hosting ranks `local`. Panics unless
+    /// `local` is a non-empty run of ranks inside the grid.
+    pub fn new(first: u64, width: u64, local: std::ops::Range<u64>) -> Self {
+        assert!(
+            local.start < local.end && local.end <= width,
+            "local ranks {local:?} outside a grid of width {width}"
+        );
+        NetBlock {
+            first,
+            width,
+            local,
+        }
+    }
+
+    /// The channel ids the block's grid spans, `first .. first + width²`.
+    /// Blocks registered on one node must span disjoint ranges.
+    pub(crate) fn span(&self) -> std::ops::Range<u64> {
+        self.first..self.first + self.width * self.width
+    }
+
+    /// True iff `chan` is in the block: a grid channel whose sender is
+    /// local and whose receiver is not.
+    #[inline]
+    pub fn contains(&self, chan: ChanId) -> bool {
+        let Some(off) = chan.0.checked_sub(self.first) else {
+            return false;
+        };
+        self.local.contains(&(off / self.width)) && !self.local.contains(&(off % self.width))
+    }
+}
+
 impl fmt::Display for ChanId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "chan{}", self.0)

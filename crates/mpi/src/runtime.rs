@@ -6,7 +6,7 @@
 //! costs, and spin-then-block synchronisation through the kernel's
 //! channels and barriers.
 
-use hpl_kernel::{BarrierId, ChanId, ProgCtx, Program, Step};
+use hpl_kernel::{BarrierId, ChanId, NetBlock, ProgCtx, Program, Step};
 use hpl_sim::SimDuration;
 use std::collections::VecDeque;
 
@@ -239,23 +239,22 @@ impl JobSpec {
         ChanId(self.id_base + 1 + (self.nprocs as u64).pow(2) + (self.nodes + node) as u64)
     }
 
-    /// Channels a cluster driver must register as network endpoints on
-    /// `node`: every `src → dst` pair whose sender lives on `node` and
-    /// whose receiver lives elsewhere. A `NetSend` on one of these is
-    /// captured for interconnect routing instead of notifying locally.
-    pub fn cross_node_channels(&self, node: u32) -> Vec<ChanId> {
-        let mut out = Vec::new();
+    /// The channels a cluster driver must register as network endpoints
+    /// on `node`, as one block: every `src → dst` pair whose sender
+    /// lives on `node` and whose receiver lives elsewhere. A `NetSend`
+    /// on one of these is captured for interconnect routing instead of
+    /// notifying locally. `None` for a single-node job, which has no
+    /// cross-node channels.
+    pub fn net_block(&self, node: u32) -> Option<NetBlock> {
         if self.nodes == 1 {
-            return out;
+            return None;
         }
-        for src in self.ranks_on(node) {
-            for dst in 0..self.nprocs {
-                if self.node_of(dst) != node {
-                    out.push(self.chan_id(src, dst));
-                }
-            }
-        }
-        out
+        let local = self.ranks_on(node);
+        Some(NetBlock::new(
+            self.chan_id(0, 0).0,
+            self.nprocs as u64,
+            local.start as u64..local.end as u64,
+        ))
     }
 
     /// Destination node of a cross-node channel id, or `None` if the id

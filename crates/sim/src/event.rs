@@ -25,6 +25,7 @@
 //! estimates no longer churn through the heap, and a caller can consume
 //! a run of marks in one call ([`EventQueue::skip_marks`]).
 
+use crate::min_tree::MinTree;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
@@ -96,88 +97,8 @@ struct Timer<E> {
     payload: E,
 }
 
-/// Key of an empty timer in [`TimerTree`]: after every real key.
+/// Key of an empty timer in the timer tree: after every real key.
 const NO_KEY: (SimTime, u64) = (SimTime::MAX, u64::MAX);
-
-/// Tournament tree over the timers' earliest pending keys.
-///
-/// Leaf `i` holds timer `i`'s front key (or [`NO_KEY`]); each inner
-/// node holds the smaller of its children's, with the timer it came
-/// from, so the root is the queue-wide earliest timer occurrence. A
-/// timer whose front changed costs O(log timers) to refresh. Scanning
-/// every timer's front on each pop instead costs as much as the heap
-/// traffic the timers remove.
-struct TimerTree {
-    /// Leaf count: the timer count rounded up to a power of two, at
-    /// least two so the root is always `nodes[1]`.
-    leaves: usize,
-    /// `nodes[1..leaves]` inner nodes, `nodes[leaves + i]` timer `i`'s
-    /// leaf: `(key, timer)` of the earliest key in the subtree.
-    nodes: Vec<((SimTime, u64), usize)>,
-    /// Copy of `nodes[1]`, kept inline so that reading the earliest
-    /// timer occurrence — done on every pop and peek — touches no
-    /// memory beyond the queue itself.
-    root: ((SimTime, u64), usize),
-}
-
-impl TimerTree {
-    fn new() -> Self {
-        TimerTree {
-            leaves: 0,
-            nodes: Vec::new(),
-            root: (NO_KEY, 0),
-        }
-    }
-
-    /// Timer index and key of the earliest pending timer occurrence.
-    #[inline]
-    fn min(&self) -> Option<(usize, (SimTime, u64))> {
-        let (key, i) = self.root;
-        (key != NO_KEY).then_some((i, key))
-    }
-
-    /// Set timer `i`'s front key and replay its path to the root.
-    fn set(&mut self, i: usize, key: (SimTime, u64)) {
-        let mut k = self.leaves + i;
-        self.nodes[k] = (key, i);
-        while k > 1 {
-            k /= 2;
-            self.replay(k);
-        }
-        self.root = self.nodes[1];
-    }
-
-    /// Recompute inner node `k` from its two children.
-    #[inline]
-    fn replay(&mut self, k: usize) {
-        let (a, b) = (self.nodes[2 * k], self.nodes[2 * k + 1]);
-        self.nodes[k] = if a.0 <= b.0 { a } else { b };
-    }
-
-    /// Make room for `n` timers. New leaves start empty; when the leaf
-    /// count has to grow, the tree is rebuilt.
-    fn resize(&mut self, n: usize) {
-        if n <= self.leaves {
-            return;
-        }
-        let old = std::mem::take(&mut self.nodes);
-        let old_leaves = self.leaves;
-        self.leaves = n.next_power_of_two().max(2);
-        self.nodes = vec![(NO_KEY, 0); 2 * self.leaves];
-        for i in 0..self.leaves {
-            let key = if i < old_leaves {
-                old[old_leaves + i].0
-            } else {
-                NO_KEY
-            };
-            self.nodes[self.leaves + i] = (key, i);
-        }
-        for k in (1..self.leaves).rev() {
-            self.replay(k);
-        }
-        self.root = self.nodes[1];
-    }
-}
 
 struct Entry<E> {
     time: SimTime,
@@ -233,9 +154,13 @@ pub struct EventQueue<E> {
     /// an O(1) peek instead of an O(slots) scan — the timer-wheel merge
     /// cost a busy `pop`/`peek_time` pays on every call.
     periodic_order: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-    /// Re-armable timers; `timer_order` ranks their earliest occurrences.
+    /// Re-armable timers; `timer_order` ranks their earliest
+    /// occurrences (leaf `i`: timer `i`'s front key, or [`NO_KEY`]). A
+    /// timer whose front changed costs O(log timers) to refresh;
+    /// scanning every timer's front on each pop instead costs as much as
+    /// the heap traffic the timers remove.
     timers: Vec<Timer<E>>,
-    timer_order: TimerTree,
+    timer_order: MinTree<(SimTime, u64)>,
     /// Total pending timer occurrences (live and marks).
     timer_pending: usize,
     next_seq: u64,
@@ -256,7 +181,7 @@ impl<E> EventQueue<E> {
             periodic: Vec::new(),
             periodic_order: BinaryHeap::new(),
             timers: Vec::new(),
-            timer_order: TimerTree::new(),
+            timer_order: MinTree::new(NO_KEY),
             timer_pending: 0,
             next_seq: 0,
             now: SimTime::ZERO,
@@ -453,7 +378,7 @@ impl<E> EventQueue<E> {
     ///
     /// Merges the heap, the periodic slots and the timers under the same
     /// total `(time, seq)` order. A popped periodic occurrence re-arms
-    /// its slot in place (see [`PeriodicSlot`] for why that preserves
+    /// its slot in place (see `PeriodicSlot` for why that preserves
     /// determinism). The payload is `None` for a timer's mark.
     pub fn pop(&mut self) -> Option<(SimTime, EventId, Option<E>)>
     where

@@ -868,9 +868,10 @@ impl SchedObserver for InvariantOracle {
 /// Cluster-level oracle: after every lockstep window it checks the
 /// driver's incremental state against the reference scans
 /// ([`Cluster::check_indexes`]) — the per-node live-job index against
-/// the scan over every launched job, the cached next-event array
-/// against each node's queue, and the pending-routing set against the
-/// nodes holding captured messages. Runs in release builds, unlike the
+/// the scan over every launched job, the window calendar (its tree
+/// shape, its root and active set against a scan of its leaves, each
+/// clean leaf against its node's queue), and the pending-routing set
+/// against the nodes holding captured messages. Runs in release builds, unlike the
 /// debug assertions inside the cluster.
 #[derive(Debug, Default)]
 pub struct IndexOracle {
