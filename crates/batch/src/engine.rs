@@ -295,6 +295,157 @@ fn fill_occupancy(cluster: &Cluster, occupancy: &mut [u32]) {
     }
 }
 
+/// The latest node clock, by a scan over every node.
+fn clock_scan(cluster: &Cluster) -> SimTime {
+    (0..cluster.len())
+        .map(|i| cluster.node(i).now())
+        .max()
+        .expect("cluster is non-empty")
+}
+
+/// The queue in arrival order, held twice in lock step: the engine's
+/// records and the [`QueuedJob`] slice the policy reads, so a decision
+/// point hands the policy the slice instead of rebuilding it.
+#[derive(Default)]
+struct PolicyQueue {
+    jobs: Vec<Queued>,
+    view: Vec<QueuedJob>,
+}
+
+impl PolicyQueue {
+    fn push(&mut self, q: Queued) {
+        self.view.push(QueuedJob {
+            id: q.job.id,
+            nodes: q.job.nodes,
+            submitted: q.submitted,
+            est_runtime: q.job.est_runtime(),
+            user: q.job.user,
+            class: q.job.class,
+        });
+        self.jobs.push(q);
+    }
+
+    fn remove(&mut self, idx: usize) -> Queued {
+        self.view.remove(idx);
+        self.jobs.remove(idx)
+    }
+
+    fn len(&self) -> usize {
+        self.jobs.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.jobs.is_empty()
+    }
+}
+
+/// The per-node half of the policy's [`ClusterView`] (occupancy and
+/// availability), the decision clock and the occupancy audit, kept
+/// current from the cluster's changed-node feed
+/// ([`Cluster::drain_changed`]): a sync costs the nodes changed since
+/// the last one. The first sync, and every sync that sees the fault
+/// generation move, rescans every node instead. Debug builds check the
+/// result against the scans at every sync.
+struct NodeTracker {
+    /// Fault generation of the last rescan; `None` before the first.
+    generation: Option<u64>,
+    /// Scratch for the drained feed.
+    changed: Vec<usize>,
+    /// The latest node clock. Node clocks only move forward between
+    /// faults, so the running max over changed nodes stays exact.
+    clock: SimTime,
+    /// The policy's occupancy limit.
+    limit: u32,
+    /// Nodes whose occupancy exceeds `limit`.
+    over: usize,
+    /// Nodes whose occupancy was rewritten since the last audit; every
+    /// node when `audit_all` is set.
+    unaudited: Vec<usize>,
+    audit_all: bool,
+}
+
+impl NodeTracker {
+    fn new(limit: u32) -> Self {
+        NodeTracker {
+            generation: None,
+            changed: Vec::new(),
+            clock: SimTime::ZERO,
+            limit,
+            over: 0,
+            unaudited: Vec::new(),
+            audit_all: true,
+        }
+    }
+
+    /// Bring `view.occupancy`, `view.down` and the clock up to date and
+    /// return the clock.
+    fn sync(&mut self, cluster: &mut Cluster, view: &mut ClusterView) -> SimTime {
+        cluster.drain_changed(&mut self.changed);
+        let generation = cluster.fault_generation();
+        if self.generation != Some(generation) {
+            self.generation = Some(generation);
+            fill_occupancy(cluster, &mut view.occupancy);
+            for (n, down) in view.down.iter_mut().enumerate() {
+                *down = !cluster.node_available(n);
+            }
+            self.clock = clock_scan(cluster);
+            self.over = view.occupancy.iter().filter(|&&o| o > self.limit).count();
+            self.unaudited.clear();
+            self.audit_all = true;
+        } else {
+            for &n in &self.changed {
+                let occ = cluster.active_jobs_on(n) as u32;
+                let old = std::mem::replace(&mut view.occupancy[n], occ);
+                self.over =
+                    self.over + usize::from(occ > self.limit) - usize::from(old > self.limit);
+                self.clock = self.clock.max(cluster.node(n).now());
+                if !self.audit_all {
+                    self.unaudited.push(n);
+                }
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.check(cluster, view);
+        self.clock
+    }
+
+    /// Panic unless the tracked state equals the full scans.
+    #[cfg(debug_assertions)]
+    fn check(&self, cluster: &Cluster, view: &ClusterView) {
+        let mut occupancy = vec![0; cluster.len()];
+        fill_occupancy(cluster, &mut occupancy);
+        assert_eq!(view.occupancy, occupancy, "tracked occupancy is stale");
+        let down: Vec<bool> = (0..cluster.len())
+            .map(|n| !cluster.node_available(n))
+            .collect();
+        assert_eq!(view.down, down, "tracked availability is stale");
+        assert_eq!(self.clock, clock_scan(cluster), "tracked clock is stale");
+        let over = occupancy.iter().filter(|&&o| o > self.limit).count();
+        assert_eq!(self.over, over, "tracked over-limit count is stale");
+    }
+
+    /// The occupancy audit at a decision point: fold every occupancy
+    /// rewritten since the last audit into `max_occupancy`, and say
+    /// whether some node is over the limit.
+    fn audit(&mut self, view: &ClusterView, max_occupancy: &mut u32) -> bool {
+        if self.audit_all {
+            self.audit_all = false;
+            *max_occupancy = view
+                .occupancy
+                .iter()
+                .copied()
+                .fold(*max_occupancy, u32::max);
+        } else {
+            for &n in &self.unaudited {
+                *max_occupancy = (*max_occupancy).max(view.occupancy[n]);
+            }
+        }
+        self.unaudited.clear();
+        debug_assert!(view.occupancy.iter().all(|&o| o <= *max_occupancy));
+        self.over > 0
+    }
+}
+
 /// Builder for one batch run — the construction-API counterpart of
 /// `hpl_cluster::ClusterBuilder`.
 ///
@@ -406,10 +557,18 @@ fn run_batch_inner(
             j.nodes
         );
     }
-    let epoch = (0..nnodes)
-        .map(|i| cluster.node(i).now())
-        .max()
-        .expect("cluster is non-empty");
+    // The policy's snapshot, kept across decision points: `running`
+    // mirrors `view.running` entry for entry (pushed together at launch,
+    // swap-removed together at harvest), and the tracker keeps the
+    // per-node fields current.
+    let mut view = ClusterView {
+        now: SimTime::ZERO,
+        occupancy: vec![0; nnodes],
+        running: Vec::new(),
+        down: vec![false; nnodes],
+    };
+    let mut nodes = NodeTracker::new(policy.occupancy_limit());
+    let epoch = nodes.sync(cluster, &mut view);
     let start_events = cluster.events_processed();
 
     // Trace order in, arrival order out (stable on ties by trace order).
@@ -421,17 +580,8 @@ fn run_batch_inner(
     pending.sort_by_key(|(at, j)| (*at, j.id));
     let mut pending = std::collections::VecDeque::from(pending);
 
-    let mut queue: Vec<Queued> = Vec::new();
+    let mut queue = PolicyQueue::default();
     let mut running: Vec<Running> = Vec::new();
-    // The policy's snapshot, kept across decision points: `running`
-    // mirrors `view.running` entry for entry (pushed together at launch,
-    // swap-removed together at harvest).
-    let mut view = ClusterView {
-        now: epoch,
-        occupancy: vec![0; nnodes],
-        running: Vec::new(),
-        down: vec![false; nnodes],
-    };
     let mut outcomes: Vec<JobOutcome> = Vec::new();
     let mut busy_spans: Vec<BusySpan> = Vec::new();
     let mut next_id_base = ID_BASE_START;
@@ -439,14 +589,10 @@ fn run_batch_inner(
     let mut max_node_occupancy = 0u32;
     let mut occupancy_violations = 0u64;
     let mut total_requeues = 0u64;
-    let limit = policy.occupancy_limit();
     let total_jobs = trace.jobs.len();
 
     while outcomes.len() < total_jobs {
-        let now = (0..nnodes)
-            .map(|i| cluster.node(i).now())
-            .max()
-            .expect("cluster is non-empty");
+        let now = nodes.sync(cluster, &mut view);
 
         // 1. Enforce walltime limits: a live job whose occupancy has
         //    reached `factor ×` its estimate is killed on the spot
@@ -565,28 +711,13 @@ fn run_batch_inner(
             });
         }
 
-        // 4. Allocate until the policy passes. Occupancy and
-        //    availability are read once per decision point and occupancy
-        //    again after each launch; the running list is already
-        //    current.
+        // 4. Allocate until the policy passes. The per-node fields are
+        //    synced once per decision point and again after each launch;
+        //    the running list and the queue slice are already current.
         view.now = now;
-        fill_occupancy(cluster, &mut view.occupancy);
-        for (n, down) in view.down.iter_mut().enumerate() {
-            *down = !cluster.node_available(n);
-        }
+        nodes.sync(cluster, &mut view);
         while !queue.is_empty() {
-            let pview: Vec<QueuedJob> = queue
-                .iter()
-                .map(|q| QueuedJob {
-                    id: q.job.id,
-                    nodes: q.job.nodes,
-                    submitted: q.submitted,
-                    est_runtime: q.job.est_runtime(),
-                    user: q.job.user,
-                    class: q.job.class,
-                })
-                .collect();
-            let Some(alloc) = policy.select(&pview, &view) else {
+            let Some(alloc) = policy.select(&queue.view, &view) else {
                 break;
             };
             let q = queue.remove(alloc.queue_idx);
@@ -621,7 +752,7 @@ fn run_batch_inner(
                 requeues: q.requeues,
                 killed: false,
             });
-            fill_occupancy(cluster, &mut view.occupancy);
+            nodes.sync(cluster, &mut view);
         }
 
         // 5. Fractional-share reallocation (DFRS): the policy may
@@ -629,7 +760,6 @@ fn run_batch_inner(
         //    is published so observers and the torture oracle can audit
         //    conservation. Slot-based policies return nothing here and
         //    stay untouched bit for bit.
-        let mut realized = false;
         for (node, job, share_milli) in policy.share_update(&view) {
             cluster.node_mut(0).publish(SchedEvent::JobShare {
                 job,
@@ -643,24 +773,14 @@ fn run_batch_inner(
             if let Some(c) = &mut coordinator {
                 if let Some(r) = running.iter().find(|r| r.job.id == job) {
                     c.set_share(cluster, node, r.spec.id_base, share_milli);
-                    realized = true;
                 }
             }
         }
 
-        // 6. Occupancy audit against the policy's promise (re-read if a
-        //    coordinator acted on the cluster since).
-        if realized {
-            fill_occupancy(cluster, &mut view.occupancy);
-        }
-        let mut over = false;
-        for &occ in &view.occupancy {
-            max_node_occupancy = max_node_occupancy.max(occ);
-            if occ > limit {
-                over = true;
-            }
-        }
-        if over {
+        // 6. Occupancy audit against the policy's promise (re-synced in
+        //    case a coordinator acted on the cluster since).
+        nodes.sync(cluster, &mut view);
+        if nodes.audit(&view, &mut max_node_occupancy) {
             occupancy_violations += 1;
         }
 

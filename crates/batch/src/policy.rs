@@ -277,18 +277,22 @@ impl EasyBackfill {
         self.violations
     }
 
-    /// The head job's reservation given `view`: the concrete node set
-    /// the head will run on and the shadow time at which the last of
-    /// those nodes frees up (estimates permitting). Currently-free nodes
-    /// are taken first, then nodes of running jobs in estimated-end
-    /// order. `None` if the head fits right now (no reservation needed).
-    fn reservation(head: &QueuedJob, view: &ClusterView) -> Option<(Vec<usize>, SimTime)> {
-        let free = view.nodes_below(1);
+    /// The head job's reservation given `view` and its `free` nodes: the
+    /// concrete node set the head will run on, ascending, and the shadow
+    /// time at which the last of those nodes frees up (estimates
+    /// permitting). Currently-free nodes are taken first, then nodes of
+    /// running jobs in estimated-end order. `None` if the head fits
+    /// right now (no reservation needed).
+    fn reservation(
+        head: &QueuedJob,
+        free: &[usize],
+        view: &ClusterView,
+    ) -> Option<(Vec<usize>, SimTime)> {
         let need = head.nodes as usize;
         if free.len() >= need {
             return None;
         }
-        let mut reserved = free;
+        let mut reserved = free.to_vec();
         let mut running: Vec<&RunningJob> = view.running.iter().collect();
         running.sort_by_key(|r| (r.est_end, r.id));
         let mut shadow = view.now;
@@ -328,7 +332,7 @@ impl AllocPolicy for EasyBackfill {
     fn select(&mut self, queue: &[QueuedJob], view: &ClusterView) -> Option<Allocation> {
         let head = queue.first()?;
         let free = view.nodes_below(1);
-        let Some((reserved, shadow)) = Self::reservation(head, view) else {
+        let Some((reserved, shadow)) = Self::reservation(head, &free, view) else {
             // Head fits now: start it (this is also the backfill of
             // width-compatible heads — FCFS order preserved).
             return Some(Allocation {
@@ -337,7 +341,10 @@ impl AllocPolicy for EasyBackfill {
             });
         };
         // Head blocked: try to backfill the first younger job that
-        // cannot delay the reservation.
+        // cannot delay the reservation. `free` and `reserved` are fixed
+        // for the whole call, so the free nodes outside the reservation
+        // are listed once, by the first candidate that needs them.
+        let mut outside: Option<Vec<usize>> = None;
         for (qi, cand) in queue.iter().enumerate().skip(1) {
             let want = cand.nodes as usize;
             if want > free.len() {
@@ -351,11 +358,12 @@ impl AllocPolicy for EasyBackfill {
             } else {
                 // Outlives the shadow window: only nodes the head will
                 // never touch are safe.
-                let outside: Vec<usize> = free
-                    .iter()
-                    .copied()
-                    .filter(|n| !reserved.contains(n))
-                    .collect();
+                let outside = outside.get_or_insert_with(|| {
+                    free.iter()
+                        .copied()
+                        .filter(|n| reserved.binary_search(n).is_err())
+                        .collect()
+                });
                 if outside.len() < want {
                     continue;
                 }
@@ -1065,17 +1073,25 @@ impl Dfrs {
         view: &ClusterView,
         weights: &BTreeMap<u32, u32>,
     ) -> Vec<(usize, u32, u32)> {
+        // Residents per node in one pass over the running jobs, as
+        // indices into `view.running`; a job lists a node once however
+        // often its placement names it.
+        let mut residents: Vec<Vec<usize>> = vec![Vec::new(); view.occupancy.len()];
+        for (ri, r) in view.running.iter().enumerate() {
+            for &n in &r.placement {
+                if let Some(list) = residents.get_mut(n) {
+                    if list.last() != Some(&ri) {
+                        list.push(ri);
+                    }
+                }
+            }
+        }
         let mut shares = Vec::new();
-        for node in 0..view.occupancy.len() {
-            let mut jobs: Vec<u32> = view
-                .running
-                .iter()
-                .filter(|r| r.placement.contains(&node))
-                .map(|r| r.id)
-                .collect();
-            if jobs.is_empty() {
+        for (node, list) in residents.iter().enumerate() {
+            if list.is_empty() {
                 continue;
             }
+            let mut jobs: Vec<u32> = list.iter().map(|&ri| view.running[ri].id).collect();
             jobs.sort_unstable();
             let k = jobs.len();
             let w: Vec<u64> = jobs

@@ -643,7 +643,9 @@ fn main() {
                  {cap_nodes} nodes, easy/hpl, pooled",
                 cap_trace.jobs.len()
             );
-            let cosim = CosimConfig::parallel().with_threads(4).with_min_active(2);
+            // Host width: more stepping threads than cores only adds
+            // barrier spinning and sys time.
+            let cosim = CosimConfig::parallel().with_min_active(2);
             let mut cluster = build_cluster(cap_nodes, true, seed ^ 0xCAB, cosim);
             let start = std::time::Instant::now();
             let report = BatchRun::new(&cap_trace)

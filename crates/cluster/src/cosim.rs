@@ -106,7 +106,8 @@ impl CosimConfig {
 
     /// Stepping threads a cluster of `nodes` would actually use: the
     /// explicit count, else host parallelism, never more than the node
-    /// count and at least one.
+    /// count and at least one. A cluster resolves the host parallelism
+    /// once, at build.
     pub fn effective_threads(&self, nodes: usize) -> usize {
         let t = if self.threads > 0 {
             self.threads
@@ -173,6 +174,8 @@ struct ActiveJob {
     /// meaningful on the incarnation that spawned it, so every task-table
     /// read is guarded by this (a restarted node has a fresh table).
     incarnations: Vec<u64>,
+    /// `job.id_range()` as `(start, end)`.
+    ids: (u64, u64),
     /// Set when a node hosting a live launcher tree of this job
     /// crashes. Failed jobs release occupancy, stop routing, and never
     /// complete; a batch driver requeues them.
@@ -197,14 +200,21 @@ struct TreeExit {
 /// Exit stamps of the tree rooted at `perf` on `node`, `None` while the
 /// root is alive.
 fn tree_exit(node: &Node, perf: Pid) -> Option<TreeExit> {
+    Some(TreeExit {
+        perf: root_exit(node, perf)?,
+        mpiexec: find_mpiexec(node, perf).and_then(|m| node.tasks.get(m).exited_at),
+    })
+}
+
+/// The root (`perf`) exit stamp of the tree on `node`, `None` while the
+/// root is alive. Unlike [`tree_exit`] it does not search the task
+/// table for `mpiexec`, so polling a job's end costs O(1) per node.
+fn root_exit(node: &Node, perf: Pid) -> Option<SimTime> {
     let t = node.tasks.get(perf);
     if t.state != TaskState::Dead {
         return None;
     }
-    Some(TreeExit {
-        perf: t.exited_at?,
-        mpiexec: find_mpiexec(node, perf).and_then(|m| node.tasks.get(m).exited_at),
-    })
+    t.exited_at
 }
 
 /// A set of node indices with O(1) insertion: `list` holds each member
@@ -377,6 +387,13 @@ impl ClusterBuilder {
         }
         let n = nodes.len();
         let fault_events = faults.sorted_events();
+        // Serial clusters never read the width, so only a pooled one
+        // pays for asking the host.
+        let threads = if cosim.parallel {
+            cosim.effective_threads(usize::MAX)
+        } else {
+            1
+        };
         Cluster {
             nodes,
             net,
@@ -387,8 +404,11 @@ impl ClusterBuilder {
             events_total: 0,
             stale: NodeSet::full(n),
             unrouted: NodeSet::full(n),
+            changed: NodeSet::full(n),
+            id_ranges: vec![Vec::new(); n],
             window_hook: None,
             cfg: cosim,
+            threads,
             pool: None,
             active: Vec::new(),
             outbox: Vec::new(),
@@ -396,9 +416,11 @@ impl ClusterBuilder {
             fault_events,
             fault_cursor: 0,
             down: vec![false; n],
+            down_count: 0,
             drained: vec![false; n],
             incarnation: vec![0; n],
             crashes: 0,
+            fault_generation: 0,
         }
     }
 }
@@ -438,11 +460,26 @@ pub struct Cluster {
     /// Nodes that may hold captured outbound messages: stepped, or
     /// touched from outside, since the last routing pass.
     unrouted: NodeSet,
+    /// Nodes changed since the last [`Self::drain_changed`]: every node
+    /// that entered `stale` since then, kept apart because the window
+    /// loop clears `stale` before a caller between windows can read it.
+    changed: NodeSet,
+    /// Per node, every job ever launched on it, ascending by the start
+    /// of its id range. Ranges on one node are pairwise disjoint (the
+    /// launch check enforces it), so their ends ascend too, and a new
+    /// range overlaps one of them iff it overlaps the last one starting
+    /// at or before its end. Dead jobs stay listed, as the check
+    /// demands.
+    id_ranges: Vec<Vec<u32>>,
     /// Called with the cluster at the end of every window (see
     /// [`Self::on_window`]).
     window_hook: Option<WindowHook>,
     /// Host-side execution policy (serial vs pooled window stepping).
     cfg: CosimConfig,
+    /// Pooled stepping threads before the clamp to the up-node count:
+    /// the explicit `cfg.threads`, else the host's parallelism, read
+    /// once at build.
+    threads: usize,
     /// Worker pool, spawned lazily on the first window dense enough to
     /// fan out; `None` until then and in serial mode.
     pool: Option<WorkerPool>,
@@ -464,6 +501,8 @@ pub struct Cluster {
     /// is frozen — excluded from the next-event minimum and the active
     /// list, never stepped, deliveries to it dropped.
     down: Vec<bool>,
+    /// Number of `true` entries in `down`.
+    down_count: usize,
     /// `drained[n]`: node `n` accepts no new launches (but keeps
     /// running what it has).
     drained: Vec<bool>,
@@ -471,6 +510,8 @@ pub struct Cluster {
     incarnation: Vec<u64>,
     /// Crash events applied so far.
     crashes: u64,
+    /// Fault events applied so far (see [`Self::fault_generation`]).
+    fault_generation: u64,
 }
 
 impl Cluster {
@@ -518,8 +559,40 @@ impl Cluster {
 
     /// Mark node `i` as changed from outside the window loop.
     fn touch(&mut self, i: usize) {
-        self.stale.insert(i);
+        self.mark_stale(i);
         self.unrouted.insert(i);
+    }
+
+    /// Queue node `i`'s calendar leaf and event count for a re-read,
+    /// and report it through [`Self::drain_changed`].
+    fn mark_stale(&mut self, i: usize) {
+        self.stale.insert(i);
+        self.changed.insert(i);
+    }
+
+    /// Move the nodes changed since the previous call (every node, on
+    /// the first call) into `out`, replacing its contents, in the order
+    /// they first changed. A node is listed once it was stepped, posted
+    /// a delivery, or touched from outside ([`Self::node_mut`], a
+    /// launch, a cancel, a share update, a fault). Between two calls
+    /// that see the same [`Self::fault_generation`], a node not listed
+    /// kept its clock, its task table and [`Self::active_jobs_on`]; a
+    /// caller that caches per-node state refreshes the listed nodes and
+    /// rescans everything when the generation moves (a fault can change
+    /// a job's state on nodes it does not list, and availability).
+    pub fn drain_changed(&mut self, out: &mut Vec<usize>) {
+        out.clear();
+        out.append(&mut self.changed.list);
+        for &i in out.iter() {
+            self.changed.member[i] = false;
+        }
+    }
+
+    /// Fault events (drain, crash or restart) applied so far. Any
+    /// change to [`Self::node_available`] or to a node's incarnation
+    /// moves it.
+    pub fn fault_generation(&self) -> u64 {
+        self.fault_generation
     }
 
     /// All nodes, in cluster order.
@@ -701,16 +774,27 @@ impl Cluster {
                 if self.down[n] { "down" } else { "drained" }
             );
         }
-        for prev in &self.jobs {
-            if !prev.placement.iter().any(|n| placement.contains(n)) {
-                continue;
-            }
-            let (a, b) = (prev.job.id_range(), job.id_range());
-            assert!(
-                a.end() < b.start() || b.end() < a.start(),
+        let b = job.id_range();
+        let ids = (*b.start(), *b.end());
+        // The first-launched job sharing a node whose range overlaps:
+        // on each node, walk back from the last range starting at or
+        // before `b`'s end while ranges still reach `b`'s start.
+        let clash = placement
+            .iter()
+            .flat_map(|&n| {
+                let list = &self.id_ranges[n];
+                let upto = list.partition_point(|&ji| self.jobs[ji as usize].ids.0 <= ids.1);
+                list[..upto]
+                    .iter()
+                    .rev()
+                    .take_while(|&&ji| self.jobs[ji as usize].ids.1 >= ids.0)
+            })
+            .min();
+        if let Some(&prev) = clash {
+            panic!(
                 "jobs sharing a node must have disjoint id ranges \
                  ({:?} vs {:?}); use JobSpec::with_id_base",
-                a,
+                self.jobs[prev as usize].job.id_range(),
                 b
             );
         }
@@ -739,8 +823,17 @@ impl Cluster {
             perf_pids.push(root);
         }
         let incarnations = placement.iter().map(|&n| self.incarnation[n]).collect();
+        for &n in &placement {
+            let list = &mut self.id_ranges[n];
+            let at = list.partition_point(|&ji| self.jobs[ji as usize].ids.0 < ids.0);
+            list.insert(
+                at,
+                u32::try_from(job_id).expect("job table outgrew u32 indices"),
+            );
+        }
         self.jobs.push(ActiveJob {
             job: job.clone(),
+            ids,
             placement: placement.clone(),
             perf_pids: perf_pids.clone(),
             incarnations,
@@ -760,13 +853,10 @@ impl Cluster {
     /// Called between windows, like every other harness mutation; a
     /// coordination runtime calls it on every node a job occupies so
     /// the lockstep nodes keep deriving identical slice schedules from
-    /// the shared virtual clock.
+    /// the shared virtual clock. The node must be up; a drained node
+    /// still runs the jobs it has, so their shares still apply there.
     pub fn set_gang_share(&mut self, node: usize, gang: u64, share_milli: u32) {
-        assert!(
-            !self.down[node] && !self.drained[node],
-            "set_gang_share on {} node {node}",
-            if self.down[node] { "down" } else { "drained" }
-        );
+        assert!(!self.down[node], "set_gang_share on down node {node}");
         self.touch(node);
         self.nodes[node].gang_set_share(gang, share_milli);
     }
@@ -823,8 +913,8 @@ impl Cluster {
             }
         };
         let workers = if self.cfg.parallel && self.active.len() >= self.cfg.parallel_min_active {
-            let alive = self.nodes.len() - self.down.iter().filter(|&&d| d).count();
-            self.cfg.effective_threads(alive) - 1
+            let alive = self.nodes.len() - self.down_count;
+            self.threads.clamp(1, alive.max(1)) - 1
         } else {
             0
         };
@@ -838,6 +928,7 @@ impl Cluster {
         }
         for &i in &self.active {
             self.stale.insert(i);
+            self.changed.insert(i);
             self.unrouted.insert(i);
         }
         self.route_outbound();
@@ -883,6 +974,7 @@ impl Cluster {
     fn apply_next_fault(&mut self) {
         let ev = self.fault_events[self.fault_cursor];
         self.fault_cursor += 1;
+        self.fault_generation += 1;
         match ev.kind {
             NodeFault::Drain => {
                 self.drained[ev.node] = true;
@@ -918,7 +1010,8 @@ impl Cluster {
                 }
                 self.live[ev.node].clear();
                 self.down[ev.node] = true;
-                self.stale.insert(ev.node);
+                self.down_count += 1;
+                self.mark_stale(ev.node);
                 self.crashes += 1;
                 // Runtime-level abort on the survivors: reap each failed
                 // job's task tree on its other nodes, so orphaned ranks
@@ -975,6 +1068,7 @@ impl Cluster {
                 fresh.run_until_time(target);
                 self.nodes[ev.node] = fresh;
                 self.down[ev.node] = false;
+                self.down_count -= 1;
                 self.drained[ev.node] = false;
                 self.incarnation[ev.node] += 1;
                 self.touch(ev.node);
@@ -1024,7 +1118,7 @@ impl Cluster {
                 }
                 let (deliver_at, queued) = self.net.transfer(m.at, src, dst, m.bytes);
                 self.nodes[dst].post_net_delivery(deliver_at, m.chan, m.tokens, m.at, queued);
-                self.stale.insert(dst);
+                self.mark_stale(dst);
             }
         }
         srcs.clear();
@@ -1090,22 +1184,22 @@ impl Cluster {
             return None;
         }
         (0..aj.placement.len())
-            .map(|j| self.job_tree_exit(aj, j).map(|e| e.perf))
+            .map(|j| self.job_root_exit(aj, j))
             .try_fold(SimTime::ZERO, |end, t| t.map(|t| end.max(t)))
     }
 
-    /// Exit stamps of `aj`'s tree on job-relative node `j`: the copy
+    /// Root exit stamp of `aj`'s tree on job-relative node `j`: the copy
     /// taken at a crash, else read from the node — which must still be
     /// the incarnation that spawned the tree.
-    fn job_tree_exit(&self, aj: &ActiveJob, j: usize) -> Option<TreeExit> {
+    fn job_root_exit(&self, aj: &ActiveJob, j: usize) -> Option<SimTime> {
         if let Some(exit) = aj.exits[j] {
-            return Some(exit);
+            return Some(exit.perf);
         }
         let n = aj.placement[j];
         if self.down[n] || aj.incarnations[j] != self.incarnation[n] {
             return None;
         }
-        tree_exit(&self.nodes[n], aj.perf_pids[j])
+        root_exit(&self.nodes[n], aj.perf_pids[j])
     }
 
     /// Application execution time of a completed job: the longest
@@ -1187,9 +1281,10 @@ impl Cluster {
     /// refresh against the node, [`Self::events_processed`] against the
     /// sum over every node, the window calendar's tree (every inner node
     /// the min of its children, so the root is the least leaf) and the
-    /// active set it yields against a scan of its leaves, and every up
-    /// node holding captured messages against the set the next routing
-    /// pass drains. Returns the first mismatch. Read-only, so checking
+    /// active set it yields against a scan of its leaves, the per-node
+    /// id-range index and the down-node count against scans, and every
+    /// up node holding captured messages against the set the next
+    /// routing pass drains. Returns the first mismatch. Read-only, so checking
     /// never changes a run; the torture harness calls it after every
     /// window.
     pub fn check_indexes(&self) -> Result<(), String> {
@@ -1209,7 +1304,29 @@ impl Cluster {
                 ));
             }
         }
+        let down = self.down.iter().filter(|&&d| d).count();
+        if down != self.down_count {
+            return Err(format!(
+                "{} down nodes counted, {down} marked down",
+                self.down_count
+            ));
+        }
         for n in 0..self.nodes.len() {
+            let index: Vec<(u64, u64, usize)> = self.id_ranges[n]
+                .iter()
+                .map(|&ji| (self.jobs[ji as usize].ids, ji as usize))
+                .map(|((start, end), ji)| (start, end, ji))
+                .collect();
+            let mut scan: Vec<(u64, u64, usize)> = (self.jobs.iter().enumerate())
+                .filter(|(_, aj)| aj.placement.contains(&n))
+                .map(|(ji, aj)| (*aj.job.id_range().start(), *aj.job.id_range().end(), ji))
+                .collect();
+            scan.sort_unstable();
+            if index != scan {
+                return Err(format!(
+                    "node {n}: id-range index {index:?}, scan of launched jobs {scan:?}"
+                ));
+            }
             let (index, scan) = (self.active_jobs_on(n), self.active_jobs_on_scan(n));
             if index != scan {
                 return Err(format!(

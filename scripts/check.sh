@@ -45,7 +45,10 @@ echo "== fault torture smoke (forced fault plans: loss, degrade, crash/restart c
 cargo run --release -q -p hpl-torture --bin torture -- --smoke --faults --skip-analytic --skip-selftest
 
 echo "== torture sweep, seed 9 (crash after a tree exit, index oracle every window) =="
-cargo run --release -q -p hpl-torture --bin torture -- --seed 9 --scenarios 250 --skip-analytic --skip-selftest
+cargo run --release -q -p hpl-torture --bin torture -- --seed 9 --scenarios 700 --skip-analytic --skip-selftest
+
+echo "== fault torture sweep, seed 9 (forced fault plans, index oracle every window) =="
+cargo run --release -q -p hpl-torture --bin torture -- --seed 9 --scenarios 700 --faults --skip-analytic --skip-selftest
 
 echo "== batch scheduler smoke (two-level sweep completes) =="
 cargo run --release -q -p hpl-bench --bin batch -- --smoke --out target/BENCH_batch_smoke.json
