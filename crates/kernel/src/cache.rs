@@ -76,27 +76,28 @@ impl CacheModel {
         pid: Pid,
         dt: SimDuration,
     ) {
-        let warm_rate = (-dt.as_secs_f64() / cfg.cache_warm_tau.as_secs_f64()).exp();
-        self.run_for_at(cfg, topo, cpu, pid, dt, warm_rate);
-    }
-
-    /// [`Self::run_for`] given its rewarming factor
-    /// `warm_rate = exp(−dt/cache_warm_tau)`, for a caller that already
-    /// computed it.
-    pub fn run_for_at(
-        &mut self,
-        cfg: &KernelConfig,
-        topo: &Topology,
-        cpu: CpuId,
-        pid: Pid,
-        dt: SimDuration,
-        warm_rate: f64,
-    ) {
         if dt.is_zero() {
             return;
         }
+        let dt_s = dt.as_secs_f64();
+        let warm_rate = (-dt_s / cfg.cache_warm_tau.as_secs_f64()).exp();
+        let evict_rate = (-dt_s / cfg.cache_evict_tau.as_secs_f64()).exp();
+        self.run_for_rates(topo, cpu, pid, warm_rate, evict_rate);
+    }
+
+    /// [`Self::run_for`] of a non-zero `dt`, given its decay factors
+    /// `warm_rate = exp(−dt/cache_warm_tau)` and
+    /// `evict_rate = exp(−dt/cache_evict_tau)`, for a caller that
+    /// already has them.
+    pub fn run_for_rates(
+        &mut self,
+        topo: &Topology,
+        cpu: CpuId,
+        pid: Pid,
+        warm_rate: f64,
+        evict_rate: f64,
+    ) {
         let core = topo.core_of(cpu) as usize;
-        let evict_rate = (-dt.as_secs_f64() / cfg.cache_evict_tau.as_secs_f64()).exp();
         let entries = &mut self.cores[core];
         let mut found = false;
         for (owner, w) in entries.iter_mut() {

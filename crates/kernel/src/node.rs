@@ -98,6 +98,16 @@ struct CpuState {
     pending_overhead: SimDuration,
 }
 
+/// One-entry memo of `(exp(−dt/τ_warm), exp(−dt/τ_evict))`, keyed by
+/// `(dt, τ_warm, τ_evict)`. Busy ticks settle the same productive
+/// stretch over and over, so the key mostly repeats; a hit returns
+/// what the same libm calls on the same inputs returned before.
+#[derive(Debug)]
+struct DecayMemo {
+    key: (SimDuration, SimDuration, SimDuration),
+    rates: (f64, f64),
+}
+
 /// Builder for a [`Node`].
 pub struct NodeBuilder {
     topo: Topology,
@@ -162,12 +172,20 @@ impl NodeBuilder {
         }
         classes.push(Box::new(CfsClass::new()));
         classes.push(Box::new(IdleClass::new()));
-        for c in classes.iter_mut() {
+        let mut class_slots = [None; 4];
+        for (i, c) in classes.iter_mut().enumerate() {
             c.init(ncpus);
+            class_slots[c.kind() as usize].get_or_insert(i);
         }
         let balance_clock = BalanceClock::new(&domains);
         let initial_shares: std::collections::BTreeMap<u64, u32> =
             self.cfg.gang_shares.iter().copied().collect();
+        let smt_others = (0..ncpus as u32)
+            .map(|c| {
+                let cpu = CpuId(c);
+                self.topo.smt_siblings(cpu).difference(CpuMask::single(cpu))
+            })
+            .collect();
         let mut node = Node {
             cache: CacheModel::new(&self.topo),
             counters: PerCpuCounters::new(ncpus),
@@ -185,11 +203,18 @@ impl NodeBuilder {
             tasks: TaskTable::new(),
             balance_clock,
             classes,
+            class_slots,
             cfg: self.cfg,
             domains,
             topo: self.topo,
-            resched: vec![false; ncpus],
-            recomp: vec![false; ncpus],
+            resched: CpuMask::EMPTY,
+            recomp: CpuMask::EMPTY,
+            busy: CpuMask::EMPTY,
+            smt_others,
+            decay_memo: DecayMemo {
+                key: (SimDuration::ZERO, SimDuration::ZERO, SimDuration::ZERO),
+                rates: (1.0, 1.0),
+            },
             advancing: Vec::new(),
             observers: Vec::new(),
             ring: None,
@@ -305,12 +330,23 @@ pub struct Node {
     pub sync: SyncState,
     queue: EventQueue<Ev>,
     classes: Vec<Box<dyn SchedClass>>,
+    /// Index into `classes` per [`ClassKind`] (`None`: not registered).
+    class_slots: [Option<usize>; 4],
     cpus: Vec<CpuState>,
     cache: CacheModel,
     balance_clock: BalanceClock,
     rng: Rng,
-    resched: Vec<bool>,
-    recomp: Vec<bool>,
+    /// CPUs with a pending reschedule.
+    resched: CpuMask,
+    /// CPUs whose completion estimate must be re-derived.
+    recomp: CpuMask,
+    /// CPUs with a current task (kept by [`Self::set_curr`]).
+    busy: CpuMask,
+    /// Each CPU's SMT siblings, the CPU itself excluded.
+    smt_others: Vec<CpuMask>,
+    /// The cache decay factors of the last productive stretch that
+    /// `sync_cpu` settled (see [`Self::decay_rates`]).
+    decay_memo: DecayMemo,
     /// Guard against re-entrant program advancement per pid.
     advancing: Vec<Pid>,
     /// Attached observability sinks. Observers receive copies of
@@ -339,7 +375,8 @@ pub struct Node {
     /// Blocks of channels registered as network endpoints, one per
     /// multi-node job ever launched here: a [`Step::NetSend`] on a
     /// channel in one of these is captured into `outbound` instead of
-    /// notifying locally. Searched linearly; blocks never overlap.
+    /// notifying locally. Sorted by span start (blocks never overlap),
+    /// so a send binary-searches it.
     net_external: Vec<NetBlock>,
     /// Captured outbound messages awaiting cluster routing.
     outbound: Vec<NetMsg>,
@@ -478,17 +515,13 @@ impl Node {
     /// Index into the class list for a policy. Panics if no registered
     /// class accepts the policy (e.g. `SCHED_HPC` without an HPC class).
     fn class_idx(&self, task: &Task) -> usize {
-        let kind = class_of_policy(task.policy);
-        self.classes
-            .iter()
-            .position(|c| c.kind() == kind)
+        self.class_slots[class_of_policy(task.policy) as usize]
             .unwrap_or_else(|| panic!("no scheduling class registered for {:?}", task.policy))
     }
 
     /// Whether a policy can be used on this node.
     pub fn supports_policy(&self, policy: crate::task::Policy) -> bool {
-        let kind = class_of_policy(policy);
-        self.classes.iter().any(|c| c.kind() == kind)
+        self.class_slots[class_of_policy(policy) as usize].is_some()
     }
 
     fn sched_ctx<'a>(
@@ -550,12 +583,14 @@ impl Node {
         self.cpus[idx].curr = new;
         match new {
             Some(pid) => {
+                self.busy.set(cpu);
                 self.load.nr_running[idx] += 1;
                 let t = self.tasks.get(pid);
                 self.load.curr_kind[idx] = Some(class_of_policy(t.policy));
                 self.load.curr_rt_prio[idx] = t.policy.rt_prio().unwrap_or(0);
             }
             None => {
+                self.busy.clear(cpu);
                 self.load.curr_kind[idx] = None;
                 self.load.curr_rt_prio[idx] = 0;
             }
@@ -566,15 +601,8 @@ impl Node {
     // Execution-speed model
     // ---------------------------------------------------------------
 
-    fn sibling_busy(&self, cpu: CpuId) -> bool {
-        self.topo
-            .smt_siblings(cpu)
-            .iter()
-            .any(|sib| sib != cpu && self.cpus[sib.index()].curr.is_some())
-    }
-
     fn smt_factor(&self, cpu: CpuId) -> f64 {
-        if self.sibling_busy(cpu) {
+        if self.busy.intersects(self.smt_others[cpu.index()]) {
             self.cfg.smt_busy_factor
         } else {
             1.0
@@ -582,24 +610,20 @@ impl Node {
     }
 
     /// Full-speed work (seconds) done over `dt_s` starting from warmth
-    /// `w0`, given the SMT factor. Closed form of
-    /// `∫ smt·(cold + (1−cold)·w(t)) dt` with exponential rewarming.
-    fn work_integral(&self, smt: f64, w0: f64, dt_s: f64) -> f64 {
-        let tau = self.cfg.cache_warm_tau.as_secs_f64();
-        self.work_integral_at(smt, w0, dt_s, (-dt_s / tau).exp())
-    }
-
-    /// [`Self::work_integral`] given its `exp(−dt_s/τ_warm)`.
+    /// `w0`, given the SMT factor and `warm_rate = exp(−dt_s/τ_warm)`.
+    /// Closed form of `∫ smt·(cold + (1−cold)·w(t)) dt` with
+    /// exponential rewarming.
     fn work_integral_at(&self, smt: f64, w0: f64, dt_s: f64, warm_rate: f64) -> f64 {
         let cold = self.cfg.cache_cold_factor;
         let tau = self.cfg.cache_warm_tau.as_secs_f64();
         smt * (dt_s - (1.0 - cold) * (1.0 - w0) * tau * (1.0 - warm_rate))
     }
 
-    /// Inverse of [`Self::work_integral`]: wall time needed to complete
-    /// `work_s` of full-speed work. Newton iteration with a bisection
-    /// floor; the integrand is positive and increasing so this converges
-    /// in a handful of steps.
+    /// Inverse of [`Self::work_integral_at`]: wall time needed to
+    /// complete `work_s` of full-speed work. Newton iteration with a
+    /// bisection floor; the integrand is positive and increasing so this
+    /// converges in a handful of steps. The integral and its derivative
+    /// (the speed) share one `exp(−t/τ_warm)` per step.
     fn time_for_work(&self, smt: f64, w0: f64, work_s: f64) -> f64 {
         let cold = self.cfg.cache_cold_factor;
         let tau = self.cfg.cache_warm_tau.as_secs_f64();
@@ -610,8 +634,9 @@ impl Node {
         // Start from the optimistic bound (full speed).
         let mut t = work_s / smt;
         for _ in 0..32 {
-            let f = self.work_integral(smt, w0, t) - work_s;
-            let speed = smt * (1.0 - (1.0 - cold) * (1.0 - w0) * (-t / tau).exp());
+            let e = (-t / tau).exp();
+            let f = self.work_integral_at(smt, w0, t, e) - work_s;
+            let speed = smt * (1.0 - (1.0 - cold) * (1.0 - w0) * e);
             let step = f / speed.max(1e-12);
             t -= step;
             if step.abs() < 0.5e-9 {
@@ -646,9 +671,10 @@ impl Node {
         let smt = self.smt_factor(cpu);
         let w0 = self.cache.warmth(&self.topo, cpu, pid);
         let dt_s = productive.as_secs_f64();
-        // exp(−dt/τ_warm): shared by the work integral and the cache
-        // model's rewarming, which would otherwise compute it again.
-        let warm_rate = (-dt_s / self.cfg.cache_warm_tau.as_secs_f64()).exp();
+        // exp(−dt/τ_warm) is shared by the work integral and the cache
+        // model's rewarming; exp(−dt/τ_evict) decays the other
+        // footprints.
+        let (warm_rate, evict_rate) = self.decay_rates(productive);
         let work_s = self.work_integral_at(smt, w0, dt_s, warm_rate);
         let work_ns = round_u64(work_s * 1e9);
         // Counter attribution: lost cycles split between SMT contention
@@ -673,7 +699,25 @@ impl Node {
         let (classes, tasks) = (&mut self.classes, &mut self.tasks);
         classes[ci].update_curr(cpu, tasks.get_mut(pid), productive);
         self.cache
-            .run_for_at(&self.cfg, &self.topo, cpu, pid, productive, warm_rate);
+            .run_for_rates(&self.topo, cpu, pid, warm_rate, evict_rate);
+    }
+
+    /// `(exp(−dt/τ_warm), exp(−dt/τ_evict))` for a productive stretch
+    /// `dt`, from the one-entry memo when `dt` and both time constants
+    /// repeat. The τs are in the key because `cfg` is public.
+    fn decay_rates(&mut self, dt: SimDuration) -> (f64, f64) {
+        let key = (dt, self.cfg.cache_warm_tau, self.cfg.cache_evict_tau);
+        if self.decay_memo.key != key {
+            let dt_s = dt.as_secs_f64();
+            self.decay_memo = DecayMemo {
+                key,
+                rates: (
+                    (-dt_s / key.1.as_secs_f64()).exp(),
+                    (-dt_s / key.2.as_secs_f64()).exp(),
+                ),
+            };
+        }
+        self.decay_memo.rates
     }
 
     /// Re-estimate the segment completion of `cpu` and post it,
@@ -825,7 +869,7 @@ impl Node {
             }
         };
         if verdict.preempts() {
-            self.resched[cpu.index()] = true;
+            self.resched.set(cpu);
         }
         if !self.observers.is_empty() {
             self.emit(SchedEvent::PreemptCheck {
@@ -941,14 +985,14 @@ impl Node {
                 self.counters.add_sw(plan.from, SwEvent::ContextSwitches, 1);
                 self.counters
                     .add_sw(plan.from, SwEvent::InvoluntaryPreemptions, 1);
-                self.resched[plan.from.index()] = true;
+                self.resched.set(plan.from);
                 // Running tasks are not in any class queue: skip dequeue.
                 self.set_task_cpu(plan.pid, plan.to, MigrateReason::Balance);
                 self.tasks.get_mut(plan.pid).last_wakeup = self.now();
                 self.enqueue_task(plan.to, plan.pid, false);
                 self.check_preempt(plan.to, plan.pid);
-                self.recomp[plan.from.index()] = true;
-                self.recomp[plan.to.index()] = true;
+                self.recomp.set(plan.from);
+                self.recomp.set(plan.to);
                 applied += 1;
                 continue;
             }
@@ -959,8 +1003,8 @@ impl Node {
             self.tasks.get_mut(plan.pid).last_wakeup = self.now();
             self.enqueue_task(plan.to, plan.pid, false);
             self.check_preempt(plan.to, plan.pid);
-            self.recomp[plan.from.index()] = true;
-            self.recomp[plan.to.index()] = true;
+            self.recomp.set(plan.from);
+            self.recomp.set(plan.to);
             applied += 1;
         }
         applied
@@ -1077,8 +1121,8 @@ impl Node {
                     self.sync_cpu(cpu, now);
                     self.set_curr(cpu, None);
                     self.counters.add_sw(cpu, SwEvent::ContextSwitches, 1);
-                    self.resched[cpu.index()] = true;
-                    self.recomp[cpu.index()] = true;
+                    self.resched.set(cpu);
+                    self.recomp.set(cpu);
                 }
                 TaskState::Runnable => {
                     debug_assert_ne!(
@@ -1090,12 +1134,12 @@ impl Node {
                 }
                 TaskState::Blocked(_) => {}
             }
-            {
+            let spin = {
                 let t = self.tasks.get_mut(pid);
                 t.state = TaskState::Dead;
                 t.exited_at = Some(now);
-                t.spin = None;
-            }
+                t.spin.take()
+            };
             if !self.observers.is_empty() {
                 self.emit(SchedEvent::Deactivate {
                     pid,
@@ -1103,7 +1147,11 @@ impl Node {
                     reason: DeactivateReason::Exit,
                 });
             }
-            self.sync.forget(pid);
+            let block = match state {
+                TaskState::Blocked(reason) => Some(reason),
+                _ => None,
+            };
+            self.sync.forget(pid, block, spin);
             self.cache.forget(pid);
             self.gang_release(pid);
             if let Some(pp) = self.tasks.get(pid).parent {
@@ -1136,7 +1184,9 @@ impl Node {
                 reason: DeactivateReason::Exit,
             });
         }
-        self.sync.forget(pid);
+        // The exiting task was running its program, so it blocks on
+        // nothing; a spin target, if any, is its only wait.
+        self.sync.forget(pid, None, self.tasks.get(pid).spin);
         self.cache.forget(pid);
         self.gang_release(pid);
         let parent = self.tasks.get(pid).parent;
@@ -1148,7 +1198,7 @@ impl Node {
             }
         }
         let cpu = self.tasks.get(pid).cpu;
-        self.resched[cpu.index()] = true;
+        self.resched.set(cpu);
     }
 
     /// Block the current task of `cpu` for `reason`.
@@ -1162,7 +1212,7 @@ impl Node {
                 reason: DeactivateReason::Block,
             });
         }
-        self.resched[cpu.index()] = true;
+        self.resched.set(cpu);
     }
 
     /// Deliver a satisfied wait to `pid` (woken from block, or spin
@@ -1181,7 +1231,7 @@ impl Node {
                     self.sync_cpu(cpu, self.now());
                     self.tasks.get_mut(pid).segment_remaining = 0;
                     self.advance_program(pid, cpu);
-                    self.recomp[cpu.index()] = true;
+                    self.recomp.set(cpu);
                 } else {
                     // Preempted mid-spin and now satisfied: its wait is
                     // over, so route it through wakeup placement exactly
@@ -1235,7 +1285,7 @@ impl Node {
             match step {
                 Step::Compute(work) => {
                     self.tasks.get_mut(pid).segment_remaining = work.as_nanos().max(1);
-                    self.recomp[cpu.index()] = true;
+                    self.recomp.set(cpu);
                     break;
                 }
                 Step::Sleep(dur) => {
@@ -1256,7 +1306,7 @@ impl Node {
                         let t = self.tasks.get_mut(pid);
                         t.spin = Some(SpinTarget::Chan(chan));
                         t.segment_remaining = spin_limit.as_nanos().max(1);
-                        self.recomp[cpu.index()] = true;
+                        self.recomp.set(cpu);
                         break;
                     }
                 },
@@ -1272,7 +1322,7 @@ impl Node {
                     tokens,
                     bytes,
                 } => {
-                    if self.net_external.iter().any(|b| b.contains(chan)) {
+                    if self.is_net_external(chan) {
                         self.outbound.push(NetMsg {
                             at: self.now(),
                             chan,
@@ -1327,7 +1377,7 @@ impl Node {
                         let t = self.tasks.get_mut(pid);
                         t.spin = Some(SpinTarget::Barrier(id));
                         t.segment_remaining = spin_limit.as_nanos().max(1);
-                        self.recomp[cpu.index()] = true;
+                        self.recomp.set(cpu);
                         break;
                     }
                 },
@@ -1401,7 +1451,7 @@ impl Node {
                 // the task under its new class.
                 let cpu = self.tasks.get(pid).cpu;
                 self.tasks.get_mut(pid).set_policy(policy);
-                self.resched[cpu.index()] = true;
+                self.resched.set(cpu);
             }
             TaskState::Blocked(_) | TaskState::Dead => {
                 self.tasks.get_mut(pid).set_policy(policy);
@@ -1447,8 +1497,8 @@ impl Node {
                 self.set_task_cpu(pid, dest, MigrateReason::Affinity);
                 self.enqueue_task(dest, pid, false);
                 self.check_preempt(dest, pid);
-                self.resched[cpu.index()] = true;
-                self.recomp[cpu.index()] = true;
+                self.resched.set(cpu);
+                self.recomp.set(cpu);
             }
             TaskState::Blocked(_) => {
                 // Placement fixed at wakeup; just update the stored CPU
@@ -1590,9 +1640,7 @@ impl Node {
                 affects_pick |= c.gang_epoch(desired);
             }
             if affects_pick {
-                for r in self.resched.iter_mut() {
-                    *r = true;
-                }
+                self.resched = CpuMask::first_n(self.cpus.len() as u32);
             }
             if !self.observers.is_empty() {
                 self.emit(SchedEvent::GangEpoch {
@@ -1793,14 +1841,12 @@ impl Node {
 
         // Occupancy transitions change the SMT speed of siblings.
         if prev_occupied != new.is_some() {
-            for sib in self.topo.smt_siblings(cpu).iter() {
-                if sib != cpu {
-                    self.sync_cpu(sib, now);
-                    self.recomp[sib.index()] = true;
-                }
+            for sib in self.smt_others[idx].iter() {
+                self.sync_cpu(sib, now);
+                self.recomp.set(sib);
             }
         }
-        self.recomp[idx] = true;
+        self.recomp.set(cpu);
 
         if let Some(pid) = new {
             let t = self.tasks.get(pid);
@@ -1825,16 +1871,17 @@ impl Node {
 
     /// Drain pending reschedules and completion re-estimates.
     fn drain(&mut self) {
-        while let Some(idx) = self.resched.iter().position(|&r| r) {
-            self.resched[idx] = false;
-            self.schedule(CpuId(idx as u32));
+        while let Some(cpu) = self.resched.first() {
+            self.resched.clear(cpu);
+            self.schedule(cpu);
         }
-        for idx in 0..self.recomp.len() {
-            if self.recomp[idx] {
-                self.recomp[idx] = false;
-                self.schedule_completion(CpuId(idx as u32));
-            }
+        // `schedule_completion` sets no flag, so one snapshot of the
+        // mask visits the same CPUs in the same order as re-reading it.
+        let recomp = std::mem::take(&mut self.recomp);
+        for cpu in recomp.iter() {
+            self.schedule_completion(cpu);
         }
+        debug_assert!(self.recomp.is_empty() && self.resched.is_empty());
         #[cfg(debug_assertions)]
         self.assert_load_consistent();
     }
@@ -1908,12 +1955,12 @@ impl Node {
                 && self.cpus[idx]
                     .curr
                     .is_some_and(|pid| self.tasks.get(pid).policy == crate::task::Policy::Hpc)
-                && self.classes.iter().map(|c| c.nr_queued(cpu)).sum::<u32>() == 0);
+                && self.load.nr_running[idx] == 1);
         if !tickless {
             self.cpus[idx].pending_overhead += self.cfg.tick_cost;
             self.counters
                 .add_hw(cpu, HwEvent::TickOverheadNs, self.cfg.tick_cost.as_nanos());
-            self.recomp[idx] = true;
+            self.recomp.set(cpu);
         }
 
         // Scheduler-class tick (slice expiry etc.).
@@ -1932,7 +1979,7 @@ impl Node {
                 classes[ci].task_tick(cpu, tasks.get_mut(pid), &ctx)
             };
             if need {
-                self.resched[idx] = true;
+                self.resched.set(cpu);
                 tick_resched = true;
             }
         }
@@ -2008,7 +2055,7 @@ impl Node {
         let t = self.tasks.get(pid);
         if t.segment_remaining > 0 {
             // Overheads or speed changes pushed completion out; refine.
-            self.recomp[idx] = true;
+            self.recomp.set(cpu);
             return;
         }
         match t.spin {
@@ -2051,7 +2098,7 @@ impl Node {
                 cost: irq.cost,
             });
         }
-        self.recomp[cpu.index()] = true;
+        self.recomp.set(cpu);
         let next = exp_interval(irq.rate_hz, &mut self.rng);
         self.queue.schedule(now + next, Ev::Irq);
     }
@@ -2104,7 +2151,21 @@ impl Node {
             }),
             "net blocks overlap"
         );
-        self.net_external.push(block);
+        let start = block.span().start;
+        let at = self
+            .net_external
+            .partition_point(|b| b.span().start < start);
+        self.net_external.insert(at, block);
+    }
+
+    /// True iff `chan` is in a registered network block. Blocks are
+    /// sorted by span start and never overlap, so the only candidate is
+    /// the last block starting at or before `chan`.
+    fn is_net_external(&self, chan: ChanId) -> bool {
+        let n = self
+            .net_external
+            .partition_point(|b| b.span().start <= chan.0);
+        n > 0 && self.net_external[n - 1].contains(chan)
     }
 
     /// Drain the captured outbound messages (cluster driver API). Order
@@ -2199,10 +2260,7 @@ impl Node {
     /// flag is pending: a flag set by a call between runs must drain at
     /// the first popped occurrence, so then nothing is skipped.
     fn skip_marks(&mut self, until: SimTime, max: u64) -> u64 {
-        if !self.queue.mark_is_next()
-            || self.resched.iter().any(|&r| r)
-            || self.recomp.iter().any(|&r| r)
-        {
+        if !self.queue.mark_is_next() || !self.resched.is_empty() || !self.recomp.is_empty() {
             return 0;
         }
         let n = self.queue.skip_marks(until, max);
@@ -2270,7 +2328,7 @@ impl Node {
         // A pending reschedule/re-estimate (e.g. set_affinity called
         // between runs) must be handled in event order by the next
         // step()'s drain — batching ahead of it would reorder.
-        if self.resched.iter().any(|&r| r) || self.recomp.iter().any(|&r| r) {
+        if !self.resched.is_empty() || !self.recomp.is_empty() {
             return 0;
         }
         // Without tickless-HPC, only an empty CPU can be quiescent; a
@@ -2994,5 +3052,77 @@ mod tests {
         let total = node.counters.total();
         assert!(total.sw(SwEvent::ContextSwitches) > 100);
         assert!(total.sw(SwEvent::Wakeups) > 50);
+    }
+
+    /// The Newton inversion with two `exp` calls per step: one inside
+    /// the work integral and one for the speed, on the same argument.
+    /// [`Node::time_for_work`] computes that `exp` once; it must agree
+    /// with this bit for bit.
+    fn time_for_work_two_exp(cfg: &KernelConfig, smt: f64, w0: f64, work_s: f64) -> f64 {
+        let cold = cfg.cache_cold_factor;
+        let tau = cfg.cache_warm_tau.as_secs_f64();
+        if work_s <= 0.0 {
+            return 0.0;
+        }
+        let integral =
+            |t: f64| smt * (t - (1.0 - cold) * (1.0 - w0) * tau * (1.0 - (-t / tau).exp()));
+        let mut t = work_s / smt;
+        for _ in 0..32 {
+            let f = integral(t) - work_s;
+            let speed = smt * (1.0 - (1.0 - cold) * (1.0 - w0) * (-t / tau).exp());
+            let step = f / speed.max(1e-12);
+            t -= step;
+            if step.abs() < 0.5e-9 {
+                break;
+            }
+        }
+        t.max(0.0)
+    }
+
+    #[test]
+    fn time_for_work_matches_two_exp_newton_bit_for_bit() {
+        let node = quiet_node();
+        let mut rng = Rng::new(0x7F3);
+        let mut checked = 0;
+        for smt in [0.62, 1.0] {
+            for _ in 0..2000 {
+                // Work from 1 ns to 10 s, log-uniform.
+                let work_s = 10f64.powf(rng.range_f64(-9.0, 1.0));
+                for w0 in [0.0, rng.f64(), 1.0 - 1e-12] {
+                    let got = node.time_for_work(smt, w0, work_s);
+                    let want = time_for_work_two_exp(&node.cfg, smt, w0, work_s);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "smt={smt} w0={w0} work_s={work_s}: {got} vs {want}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 12_000);
+    }
+
+    #[test]
+    fn decay_memo_follows_dt_and_both_time_constants() {
+        let mut node = quiet_node();
+        let direct = |cfg: &KernelConfig, dt: SimDuration| {
+            let dt_s = dt.as_secs_f64();
+            (
+                (-dt_s / cfg.cache_warm_tau.as_secs_f64()).exp(),
+                (-dt_s / cfg.cache_evict_tau.as_secs_f64()).exp(),
+            )
+        };
+        let dt = SimDuration::from_micros(3999);
+        for _ in 0..2 {
+            assert_eq!(node.decay_rates(dt), direct(&node.cfg, dt));
+        }
+        let other = SimDuration::from_micros(1234);
+        assert_eq!(node.decay_rates(other), direct(&node.cfg, other));
+        // `cfg` is public: a changed time constant must miss the memo.
+        node.cfg.cache_evict_tau = node.cfg.cache_evict_tau * 3;
+        assert_eq!(node.decay_rates(other), direct(&node.cfg, other));
+        node.cfg.cache_warm_tau = node.cfg.cache_warm_tau * 2;
+        assert_eq!(node.decay_rates(other), direct(&node.cfg, other));
     }
 }

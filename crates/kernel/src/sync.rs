@@ -14,7 +14,7 @@
 //! synchronisation-heavy codes. The kernel (node.rs) performs the actual
 //! blocking, spinning and waking; this module is pure bookkeeping.
 
-use crate::task::Pid;
+use crate::task::{BlockReason, Pid, SpinTarget};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
@@ -247,22 +247,51 @@ impl SyncState {
         b.blocked.push(pid);
     }
 
-    /// Remove a pid from every wait list (task teardown safety net).
-    pub fn forget(&mut self, pid: Pid) {
-        for c in self.chans.values_mut() {
-            c.blocked.retain(|&w| w != pid);
-            c.spinners.retain(|&w| w != pid);
-        }
-        for b in self.barriers.values_mut() {
-            let before = b.blocked.len() + b.spinners.len();
-            b.blocked.retain(|&w| w != pid);
-            b.spinners.retain(|&w| w != pid);
-            // A dead participant can never release the barrier; keep the
-            // arrival count consistent with the remaining waiters.
-            if b.blocked.len() + b.spinners.len() != before {
-                b.arrived = b.arrived.saturating_sub(1);
+    /// Remove a dying `pid` from the wait lists it can be on: the
+    /// channel or barrier it is blocked on (`block`) and the one it
+    /// spins on (`spin`). A task is on no other list, so teardown costs
+    /// O(waiters of those two) rather than a scan of every channel and
+    /// barrier the node ever created; debug builds make that scan and
+    /// assert it finds nothing left.
+    pub fn forget(&mut self, pid: Pid, block: Option<BlockReason>, spin: Option<SpinTarget>) {
+        let block = block.and_then(|r| match r {
+            BlockReason::Chan(c) => Some(SpinTarget::Chan(c)),
+            BlockReason::Barrier(b) => Some(SpinTarget::Barrier(b)),
+            BlockReason::Timer | BlockReason::Children => None,
+        });
+        for wait in [block, spin].into_iter().flatten() {
+            match wait {
+                SpinTarget::Chan(chan) => {
+                    if let Some(c) = self.chans.get_mut(&chan) {
+                        c.blocked.retain(|&w| w != pid);
+                        c.spinners.retain(|&w| w != pid);
+                    }
+                }
+                SpinTarget::Barrier(barrier) => {
+                    if let Some(b) = self.barriers.get_mut(&barrier) {
+                        let before = b.blocked.len() + b.spinners.len();
+                        b.blocked.retain(|&w| w != pid);
+                        b.spinners.retain(|&w| w != pid);
+                        // A dead participant can never release the
+                        // barrier; keep the arrival count consistent
+                        // with the remaining waiters.
+                        if b.blocked.len() + b.spinners.len() != before {
+                            b.arrived = b.arrived.saturating_sub(1);
+                        }
+                    }
+                }
             }
         }
+        debug_assert!(
+            self.chans
+                .values()
+                .all(|c| !c.blocked.contains(&pid) && !c.spinners.contains(&pid))
+                && self
+                    .barriers
+                    .values()
+                    .all(|b| !b.blocked.contains(&pid) && !b.spinners.contains(&pid)),
+            "{pid} still waits somewhere its block reason and spin target do not name"
+        );
     }
 
     /// Tokens currently banked on a channel (diagnostics).
@@ -387,7 +416,11 @@ mod tests {
         let b = BarrierId(6);
         s.wait(ch, Pid(5));
         s.barrier_arrive(b, 3, Pid(5), true);
-        s.forget(Pid(5));
+        s.forget(
+            Pid(5),
+            Some(BlockReason::Chan(ch)),
+            Some(SpinTarget::Barrier(b)),
+        );
         assert_eq!(s.chan_waiters(ch), 0);
         // Barrier arrival count rolled back: two remaining parties
         // complete it.

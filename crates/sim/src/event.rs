@@ -264,10 +264,16 @@ impl<E> EventQueue<E> {
 
     /// Fire the pending occurrence of the slot at the mirror heap's
     /// root: advance `now`, re-arm the slot one period later with a
-    /// fresh seq, and refresh its mirror entry. Returns the fired
+    /// fresh seq, and overwrite the root with the re-armed key (one
+    /// sift-down instead of a pop and a push; keys are unique, so the
+    /// heap pops in the same order either way). Returns the fired
     /// occurrence as `(time, id, slot index)`.
     fn fire_best_periodic(&mut self) -> (SimTime, EventId, usize) {
-        let Reverse((time, seq, i)) = self.periodic_order.pop().expect("a pending occurrence");
+        let mut root = self
+            .periodic_order
+            .peek_mut()
+            .expect("a pending occurrence");
+        let Reverse((time, seq, i)) = *root;
         let slot = &mut self.periodic[i];
         debug_assert_eq!(
             (slot.time, slot.seq),
@@ -279,7 +285,7 @@ impl<E> EventQueue<E> {
         slot.time += slot.period;
         slot.seq = self.next_seq;
         self.next_seq += 1;
-        self.periodic_order.push(Reverse((slot.time, slot.seq, i)));
+        *root = Reverse((slot.time, slot.seq, i));
         (time, EventId(seq), i)
     }
 

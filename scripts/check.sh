@@ -38,6 +38,9 @@ cargo run --release -q -p hpl-bench --bin cluster -- --smoke --out target/BENCH_
 echo "== parallel co-sim differential (release: serial vs pooled bit-equality) =="
 cargo test -q --release --test parallel_cosim
 
+echo "== fast-vs-reference and golden outputs on the optimised build (release) =="
+cargo test -q --release --test determinism --test golden
+
 echo "== scheduler torture smoke (fuzzed scenarios + invariant oracle) =="
 cargo run --release -q -p hpl-torture --bin torture -- --smoke
 
